@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from hnsynth.analysis import analyze
+from hnsynth.analysis import analyze, estimate_f0
 from hnsynth.config import build_tool_config
 from hnsynth.features import FeatureBundle, render_bundle, save_features
 from hnsynth.losses import f0_rmse
@@ -67,7 +67,7 @@ def main(args):
 
     mel_x = mel_spectrogram(x, tool.mel)
     mel_y = mel_spectrogram(y, tool.mel)
-    f0_check = analyze(y, tool.analysis, tool.spectral)[0]
+    f0_check = estimate_f0(y, tool.analysis)
     print(f"mel L1          {np.abs(mel_x - mel_y).mean():.4f}")
     print(f"f0 RMSE (Hz)    {f0_rmse(f0_check, f0):.4f}")
     print(f"harmonic/noise RMS  {np.sqrt(np.mean(harmonic.samples**2)):.4f} / "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import SpectralConfig, stft
-from .synth import harmonic_synthesize, interpolate_to_samples
+from .synth import _phasor_blocks, harmonic_synthesize
 from .types import F0Contour, HarmonicAmplitudes, InitialPhases, NoiseMagnitudeSpectrum, Waveform
 
 _TINY = 1e-12
@@ -250,13 +250,6 @@ def _phase_refine(
     return values
 
 
-def load_f0(path) -> F0Contour:
-    """Read a frame-per-line F0 text file (see the features module for the format)."""
-    from .features import load_f0 as _load
-
-    return _load(path)
-
-
 def _peak_measure(db: np.ndarray, bins: np.ndarray, halfwidth: int) -> np.ndarray:
     """Parabolically interpolated peak magnitude (linear units) near each bin.
 
@@ -362,28 +355,26 @@ def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> InitialPh
 
     Demodulates x against the accumulated fundamental phase, so the estimate
     follows any f0 trajectory, not just constant pitch. Harmonics without
-    voiced in-band frames get phase 0.
+    voiced in-band frames get phase 0. Walks the same blocks and per-block
+    Nyquist caps as the harmonic bank, with the conjugate phasor.
     """
-    sr = x.sample_rate
-    nyquist = sr / 2.0
+    nyquist = x.sample_rate / 2.0
     n = min(len(x), f0.frames * f0.hop_size)
-    f0_samples = interpolate_to_samples(f0.values, f0.hop_size, n)
-    cycles = np.cumsum(f0_samples.astype(np.longdouble)) / sr
-    psi = np.asarray(2 * np.pi * cycles, dtype=np.float64)
-    rot = np.exp(-1j * psi)
-
-    phases = np.zeros(k_max)
-    demod = x.samples[:n].astype(complex)
-    for k in range(1, k_max + 1):
-        demod *= rot
-        active = (f0_samples > 0) & (k * f0_samples < nyquist)
-        if not active.any():
-            break
-        # x ~ H sin(k psi + phi) = H cos(k psi + phi - pi/2); averaging the
-        # demodulated signal over active samples leaves ~ (H/2) e^{i(phi - pi/2)}
-        acc = demod[active].sum()
-        if acc != 0:
-            phases[k - 1] = np.angle(acc) + np.pi / 2
+    acc = np.zeros(k_max, dtype=np.complex128)
+    for b in _phasor_blocks(f0, x.sample_rate, n, k_max):
+        rot = np.conjugate(b.z, out=b.z)
+        demod = x.samples[b.lo : b.hi].astype(np.complex128)
+        if b.unvoiced is not None:
+            demod[b.unvoiced] = 0.0
+        for k in range(1, b.k_live + 1):
+            demod *= rot
+            # x ~ H sin(k psi + phi) = H cos(k psi + phi - pi/2); summing the
+            # demodulated signal over active samples leaves ~ (H/2) e^{i(phi - pi/2)}
+            if k <= b.k_free:
+                acc[k - 1] += demod.sum()
+            else:
+                acc[k - 1] += demod.sum(where=k * b.f0 < nyquist)
+    phases = np.where(acc != 0, np.angle(acc) + np.pi / 2, 0.0)
     return InitialPhases.wrapped(phases)
 
 

@@ -112,56 +112,67 @@ def save_features(bundle: FeatureBundle, path) -> None:
         fh.write(_payload(bundle.noise.values))
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"truncated feature file while reading {what}")
-    return data
-
-
 def load_features(path) -> FeatureBundle:
-    """Read a container written by save_features."""
+    """Read a container written by save_features.
+
+    Every violation of the format, in the header or in the payload, raises
+    FormatError.
+    """
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MAGIC:
-            raise FormatError(f"{path}: not a feature file (bad magic)")
-        (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        try:
-            header = json.loads(_read_exact(fh, header_len, "header"))
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed JSON header: {exc}") from exc
-        version = header.get("version")
-        if version != FORMAT_VERSION:
-            raise FormatError(
-                f"{path}: unsupported feature file version {version!r}, "
-                f"this reader handles {FORMAT_VERSION}"
-            )
-        try:
-            frames = int(header["frames"])
-            k_max = int(header["k_max"])
-            n_bins = int(header["n_bins"])
-            sample_rate = int(header["sample_rate"])
-            spectral = SpectralConfig(**header["spectral"])
-            analysis = AnalysisConfig(**header["analysis"])
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: incomplete header: {exc}") from exc
-
-        def matrix(shape, what):
-            n = int(np.prod(shape))
-            raw = _read_exact(fh, 4 * n, what)
-            return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-
-        f0_values = matrix((frames,), "f0")
-        harmonics = matrix((frames, k_max), "harmonics")
-        noise = matrix((frames, n_bins), "noise spectrum")
-
-    return FeatureBundle(
-        f0=F0Contour.from_values(f0_values, spectral.hop_size),
-        harmonics=HarmonicAmplitudes(harmonics),
-        noise=NoiseMagnitudeSpectrum(noise),
-        sample_rate=sample_rate,
-        spectral=spectral,
-        analysis=analysis,
-    )
+        raw = fh.read()
+    if len(raw) < 8:
+        raise FormatError(f"{path}: truncated feature file ({len(raw)} bytes)")
+    if raw[:4] != MAGIC:
+        raise FormatError(f"{path}: not a feature file (bad magic)")
+    (header_len,) = struct.unpack_from("<I", raw, 4)
+    payload_at = 8 + header_len
+    if payload_at > len(raw):
+        raise FormatError(f"{path}: truncated feature file while reading header")
+    try:
+        header = json.loads(raw[8:payload_at])
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: malformed JSON header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    version = header.get("version")
+    if version != FORMAT_VERSION:
+        raise FormatError(
+            f"{path}: unsupported feature file version {version!r}, "
+            f"this reader handles {FORMAT_VERSION}"
+        )
+    try:
+        frames = int(header["frames"])
+        k_max = int(header["k_max"])
+        n_bins = int(header["n_bins"])
+        sample_rate = int(header["sample_rate"])
+        spectral = SpectralConfig(**header["spectral"])
+        analysis = AnalysisConfig(**header["analysis"])
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: incomplete header: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: invalid header: {exc}") from exc
+    if min(frames, k_max, n_bins) < 1:
+        raise FormatError(
+            f"{path}: frames, k_max and n_bins must be positive, got {frames}, {k_max}, {n_bins}"
+        )
+    expected = 4 * frames * (1 + k_max + n_bins)
+    if len(raw) - payload_at != expected:
+        raise FormatError(
+            f"{path}: payload holds {len(raw) - payload_at} bytes, the header declares {expected}"
+        )
+    values = np.frombuffer(raw, dtype="<f4", offset=payload_at).astype(np.float64)
+    harmonics_end = frames * (1 + k_max)
+    try:
+        return FeatureBundle(
+            f0=F0Contour.from_values(values[:frames], spectral.hop_size),
+            harmonics=HarmonicAmplitudes(values[frames:harmonics_end].reshape(frames, k_max)),
+            noise=NoiseMagnitudeSpectrum(values[harmonics_end:].reshape(frames, n_bins)),
+            sample_rate=sample_rate,
+            spectral=spectral,
+            analysis=analysis,
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid feature values: {exc}") from exc
 
 
 def save_f0(f0: F0Contour, sample_rate: int, path) -> None:

@@ -265,7 +265,3 @@ def mel_spectrogram(x: Waveform, cfg: MelConfig) -> np.ndarray:
     mag = np.abs(stft(x, cfg.spectral))
     energies = mag @ fb.T
     return np.log(np.maximum(energies, cfg.log_floor))
-
-
-def default_mel(sample_rate: int) -> MelConfig:
-    return MelConfig(spectral=default_spectral(sample_rate))

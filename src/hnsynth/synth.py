@@ -1,18 +1,63 @@
 """Deterministic synthesis of periodic and aperiodic waveform components.
 
-The harmonic bank renders y(n) = sum_k H_k(n) sin(phi_k(n)) where phi_k is the
-running sum of the per-sample harmonic frequency (inclusive of sample n, i.e.
-phi(n) covers samples 0..n) and f_k(n) = k * f0(n). The noise branch inverts a
-magnitude spectrogram with uniformly random phase. Both are pure functions; the
-noise branch is pure given its seed.
+The harmonic bank renders y(n) = sum_k H_k(n) sin(phi_k(n)) with
+phi_k(n) = k*psi(n) + phi0_k, where psi is the running sum of the per-sample
+fundamental frequency (inclusive of sample n, i.e. psi(n) covers samples
+0..n) accumulated once, in extended precision, by cumulative_phase.
+
+Frame values reach the samples through one segment grid: the output is laid
+out as frames + 1 rows of hop samples whose boundaries fall on the frame
+anchors m*hop + hop//2, so row r holds the linear ramp from frame r-1 to
+frame r (row 0 is the constant lead-in, the last row the constant tail).
+One row index and one in-row offset then serve f0 and every amplitude column
+alike, with the arithmetic of np.interp over the anchors.
+
+The bank walks the grid in blocks of a few dozen rows. Within a block it takes
+z = e^{i psi(n)} once and steps the harmonics by the phasor recurrence
+z_k = z_{k-1} * z, so sin(phi_k) is Im(z_k e^{i phi0_k}) and no harmonic calls
+sin. Any (sample, harmonic) pair whose frequency k*f0(n) reaches Nyquist
+contributes exactly zero. The cap is per block: harmonics at or above
+Nyquist / (block's min voiced f0) are silent and end the block's walk, and
+only those at or above Nyquist / (block's max f0) pay for the per-sample mask.
+A global cap cannot replace this, because interpolation ramps f0 to zero
+across half a hop into unvoiced frames, so every harmonic is live somewhere
+near every gap. Zero amplitude columns are skipped block by block, and
+temporaries stay bounded by the block size.
+
+The noise branch inverts a magnitude spectrogram with uniformly random phase.
+Both branches are pure functions; the noise branch is pure given its seed.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .spectral import SpectralConfig, istft
 from .types import F0Contour, HarmonicAmplitudes, InitialPhases, NoiseMagnitudeSpectrum, Waveform
+
+# Grid rows per block: enough to amortize numpy's per-call overhead, few enough
+# that the per-block temporaries stay a small fraction of one full-length array.
+_BLOCK_ROWS = 32
+
+
+def _segment_grid(frame_values: np.ndarray, hop_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start value and per-sample slope of each row of the segment grid.
+
+    frame_values is (frames,) or (frames, columns); both results have
+    frames + 1 rows. Offset j of row r reads start[r] + slope[r] * j, which is
+    np.interp's own arithmetic for the anchors m*hop_size + hop_size//2.
+    """
+    ext = np.concatenate([frame_values[:1], frame_values, frame_values[-1:]])
+    return ext[:-1], (ext[1:] - ext[:-1]) / hop_size
+
+
+def _segment_rows(start: np.ndarray, slope: np.ndarray, offsets: np.ndarray, out=None) -> np.ndarray:
+    """(rows, hop) samples of the grid rows given by one column of start and slope."""
+    rows = np.multiply(slope[:, None], offsets, out=out)
+    rows += start[:, None]
+    return rows
 
 
 def interpolate_to_samples(frame_values, hop_size: int, out_len: int) -> np.ndarray:
@@ -31,8 +76,9 @@ def interpolate_to_samples(frame_values, hop_size: int, out_len: int) -> np.ndar
             f"out_len must lie in [0, frames*hop_size], got {out_len} for "
             f"{values.size} frames of hop {hop_size}"
         )
-    anchors = np.arange(values.size, dtype=np.float64) * hop_size + hop_size // 2
-    return np.interp(np.arange(out_len, dtype=np.float64), anchors, values)
+    rows = _segment_rows(*_segment_grid(values, hop_size), np.arange(hop_size, dtype=np.float64))
+    lead = hop_size - hop_size // 2
+    return rows.reshape(-1)[lead : lead + out_len]
 
 
 def cumulative_phase(f, sample_rate: int, phi0: float = 0.0) -> np.ndarray:
@@ -47,16 +93,72 @@ def cumulative_phase(f, sample_rate: int, phi0: float = 0.0) -> np.ndarray:
         raise ValueError("frequencies must be non-negative")
     if sample_rate <= 0:
         raise ValueError("sample_rate must be positive")
-    cycles = np.cumsum(f.astype(np.longdouble)) / sample_rate
-    phase = 2 * np.pi * cycles + np.longdouble(phi0)
+    # in place, so the extended-precision buffer exists once
+    phase = f.astype(np.longdouble)
+    np.cumsum(phase, out=phase)
+    phase /= sample_rate
+    phase *= 2 * np.pi
+    phase += np.longdouble(phi0)
     return phase.astype(np.float64)
 
 
-def _base_phase(f0_samples: np.ndarray, sample_rate: int) -> np.ndarray:
-    # Same accumulation as cumulative_phase, kept in extended precision so the
-    # per-harmonic scaling k*psi does not inherit float64 cumsum drift.
-    cycles = np.cumsum(f0_samples.astype(np.longdouble)) / sample_rate
-    return np.asarray(2 * np.pi * cycles, dtype=np.float64)
+def _harmonics_below(f: float, nyquist: float, k_max: int) -> int:
+    """How many of k = 1..k_max keep k*f < nyquist, by the gate's own float product."""
+    return int(np.searchsorted(np.arange(1, k_max + 1) * f, nyquist))
+
+
+class _Block(NamedTuple):
+    """One block of the segment grid, as the harmonic walks need it."""
+
+    lo: int  # first sample
+    hi: int  # one past the last sample
+    rows: slice  # grid rows covering lo..hi
+    skip: int  # samples of the first row that lie before lo
+    z: np.ndarray  # e^{i psi(n)} over lo..hi
+    f0: np.ndarray  # f0(n) over lo..hi
+    unvoiced: np.ndarray | None  # f0(n) == 0, or None when all of lo..hi is voiced
+    k_free: int  # harmonics 1..k_free stay below Nyquist on every sample
+    k_live: int  # harmonics above k_live reach Nyquist on every voiced sample
+
+
+def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
+    """Walk the first n samples of the segment grid in blocks of _BLOCK_ROWS rows.
+
+    Yields a _Block for every block with a voiced sample; the others carry no
+    harmonic at all.
+    """
+    hop = f0.hop_size
+    nyquist = sample_rate / 2.0
+    psi = cumulative_phase(interpolate_to_samples(f0.values, hop, n), sample_rate)
+    # f0(n) is rebuilt block by block rather than kept for the whole signal
+    start, slope = _segment_grid(f0.values, hop)
+    offsets = np.arange(hop, dtype=np.float64)
+    lead = hop - hop // 2
+    total_rows = f0.frames + 1
+    for r0 in range(0, total_rows, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, total_rows)
+        lo, hi = max(r0 * hop - lead, 0), min(r1 * hop - lead, n)
+        if lo >= hi:
+            break
+        skip = lo - (r0 * hop - lead)
+        f = _segment_rows(start[r0:r1], slope[r0:r1], offsets).reshape(-1)[skip : skip + hi - lo]
+        voiced = f > 0
+        if not voiced.any():
+            continue
+        z = np.empty(hi - lo, dtype=np.complex128)
+        np.cos(psi[lo:hi], out=z.real)
+        np.sin(psi[lo:hi], out=z.imag)
+        yield _Block(
+            lo=lo,
+            hi=hi,
+            rows=slice(r0, r1),
+            skip=skip,
+            z=z,
+            f0=f,
+            unvoiced=None if voiced.all() else ~voiced,
+            k_free=_harmonics_below(float(f.max()), nyquist, k_max),
+            k_live=_harmonics_below(float(f[voiced].min()), nyquist, k_max),
+        )
 
 
 def harmonic_synthesize(
@@ -86,19 +188,39 @@ def harmonic_synthesize(
     if f0.values.size and f0.values.max() >= nyquist:
         raise ValueError("f0 values must stay below Nyquist for this sample rate")
 
-    n = f0.frames * f0.hop_size
-    f0_samples = interpolate_to_samples(f0.values, f0.hop_size, n)
-    psi = _base_phase(f0_samples, sample_rate)
-    voiced = f0_samples > 0
+    hop = f0.hop_size
+    n = f0.frames * hop
+    starts, slopes = _segment_grid(amplitudes.values, hop)
+    offsets = np.arange(hop, dtype=np.float64)
+    turns = np.exp(1j * phi0.values) if phi0.values.any() else None
 
     out = np.zeros(n)
-    for k in range(1, k_max + 1):
-        gate = voiced & (k * f0_samples < nyquist)
-        if not gate.any():
-            break  # harmonic frequency only grows with k
-        amp = interpolate_to_samples(amplitudes.values[:, k - 1], f0.hop_size, n)
-        amp *= gate
-        out += amp * np.sin(k * psi + phi0.values[k - 1])
+    for b in _phasor_blocks(f0, sample_rate, n, k_max):
+        start, slope = starts[b.rows], slopes[b.rows]
+        live = (start != 0).any(axis=0) | (slope != 0).any(axis=0)
+        ks = np.flatnonzero(live[: b.k_live])
+        if ks.size == 0:
+            continue
+        seg = out[b.lo : b.hi]
+        ramp = np.empty((start.shape[0], hop))
+        amp = ramp.reshape(-1)[b.skip : b.skip + seg.size]
+        z = np.ones_like(b.z)
+        turned = None if turns is None else np.empty_like(b.z)
+        wave = np.empty(seg.size)
+        for k in range(1, int(ks[-1]) + 2):
+            z *= b.z
+            if not live[k - 1]:
+                continue
+            _segment_rows(start[:, k - 1], slope[:, k - 1], offsets, out=ramp)
+            if k > b.k_free:
+                amp *= (k * b.f0 < nyquist).astype(np.float64)
+            phasor = z if turned is None else np.multiply(z, turns[k - 1], out=turned)
+            # a contiguous copy of the imaginary part multiplies faster than the strided view
+            np.copyto(wave, phasor.imag)
+            amp *= wave
+            seg += amp
+        if b.unvoiced is not None:
+            seg[b.unvoiced] = 0.0
     return Waveform(out, sample_rate)
 
 

@@ -1,13 +1,15 @@
 """CLI subcommands end to end: exit codes, reports, determinism, atomicity."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from hnsynth.cli import cli_main
-from hnsynth.features import load_features
-from hnsynth.types import Waveform
+from hnsynth.config import build_tool_config
+from hnsynth.features import MAGIC, FeatureBundle, load_features, save_features
+from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 from hnsynth.wavio import read_wav, write_wav
 
 from conftest import harmonic_tone
@@ -124,6 +126,64 @@ def test_truncated_bundle_exits_4(tmp_path, tone_wav, capsys):
     feat.write_bytes(feat.read_bytes()[:50])
     assert cli_main(["synth", str(feat), "-o", str(tmp_path / "y.wav")]) == 4
     capsys.readouterr()
+
+
+def _nan_first_f0(header, payload):
+    return header, struct.pack("<f", np.nan) + payload[4:]
+
+
+def _set_analysis(key, value):
+    def edit(header, payload):
+        header["analysis"][key] = value
+        return header, payload
+
+    return edit
+
+
+def _set_header(key, value):
+    def edit(header, payload):
+        header[key] = value
+        return header, payload
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_set_header("frames", 0), id="zero-frames"),
+        pytest.param(_set_header("frames", -3), id="negative-frames"),
+        pytest.param(_set_analysis("f0_min", 900.0), id="f0-min-above-f0-max"),
+        pytest.param(_nan_first_f0, id="nan-in-f0-payload"),
+        pytest.param(lambda header, payload: ([], payload), id="header-not-an-object"),
+    ],
+)
+def test_malformed_bundle_exits_4(tmp_path, capsys, edit):
+    tool = build_tool_config(SR)
+    frames = 6
+    good = tmp_path / "good.hnsf"
+    save_features(
+        FeatureBundle(
+            f0=F0Contour.from_values(np.full(frames, 220.0), tool.spectral.hop_size),
+            harmonics=HarmonicAmplitudes(np.full((frames, 3), 0.1)),
+            noise=NoiseMagnitudeSpectrum(np.full((frames, tool.spectral.n_bins), 0.01)),
+            sample_rate=SR,
+            spectral=tool.spectral,
+            analysis=tool.analysis,
+        ),
+        good,
+    )
+    raw = good.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[4:8])
+    header, payload = edit(json.loads(raw[8 : 8 + header_len]), raw[8 + header_len :])
+    blob = json.dumps(header).encode()
+    bad = tmp_path / "bad.hnsf"
+    bad.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+    out = tmp_path / "y.wav"
+    assert cli_main(["synth", str(bad), "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("hnsynth: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path, tone_wav, capsys):

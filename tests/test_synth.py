@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hnsynth.analysis import estimate_initial_phases
 from hnsynth.spectral import SpectralConfig, stft
 from hnsynth.synth import (
     cumulative_phase,
@@ -172,6 +173,123 @@ def test_harmonic_energy_scales_with_amplitude(f0, k_max, seed):
     y1 = harmonic_synthesize(contour, HarmonicAmplitudes(amps), sr)
     y2 = harmonic_synthesize(contour, HarmonicAmplitudes(2 * amps), sr)
     assert np.allclose(y2.samples, 2 * y1.samples, atol=1e-12)
+
+
+# ------------------------------- equivalence with the per-column bank
+#
+# Frozen copies of the code the phasor recurrence replaced: one np.interp and
+# one sin(k*psi + phi) per harmonic over all samples, gated per sample. The
+# rewrite changes only how sin(k*psi + phi) is formed, so the outputs agree to
+# rounding; k*psi itself carries ~1e-16 relative error in the reference.
+
+
+def _frozen_interp(values, hop, n):
+    anchors = np.arange(values.size, dtype=np.float64) * hop + hop // 2
+    return np.interp(np.arange(n, dtype=np.float64), anchors, values)
+
+
+def _frozen_psi(f0_samples, sr):
+    cycles = np.cumsum(f0_samples.astype(np.longdouble)) / sr
+    return np.asarray(2 * np.pi * cycles, dtype=np.float64)
+
+
+def _frozen_bank(f0, amplitudes, sr, phi0):
+    nyquist = sr / 2.0
+    n = f0.frames * f0.hop_size
+    f0_samples = _frozen_interp(f0.values, f0.hop_size, n)
+    psi = _frozen_psi(f0_samples, sr)
+    voiced = f0_samples > 0
+    out = np.zeros(n)
+    for k in range(1, amplitudes.k_max + 1):
+        gate = voiced & (k * f0_samples < nyquist)
+        if not gate.any():
+            break
+        amp = _frozen_interp(amplitudes.values[:, k - 1], f0.hop_size, n)
+        amp *= gate
+        out += amp * np.sin(k * psi + phi0.values[k - 1])
+    return out
+
+
+def _frozen_initial_phases(x, f0, k_max):
+    nyquist = x.sample_rate / 2.0
+    n = min(len(x), f0.frames * f0.hop_size)
+    f0_samples = _frozen_interp(f0.values, f0.hop_size, n)
+    rot = np.exp(-1j * _frozen_psi(f0_samples, x.sample_rate))
+    phases = np.zeros(k_max)
+    demod = x.samples[:n].astype(complex)
+    for k in range(1, k_max + 1):
+        demod *= rot
+        active = (f0_samples > 0) & (k * f0_samples < nyquist)
+        if not active.any():
+            break
+        acc = demod[active].sum()
+        if acc != 0:
+            phases[k - 1] = np.angle(acc) + np.pi / 2
+    return InitialPhases.wrapped(phases).values
+
+
+def _random_features(seed, sr, hop, frames, k_max, f0_top):
+    """Contour with unvoiced gaps up to f0_top, amplitudes with zero columns and rows."""
+    rng = np.random.default_rng(seed)
+    f0 = np.where(rng.random(frames) < 0.3, 0.0, rng.uniform(40.0, f0_top, frames))
+    amps = rng.uniform(0.0, 1.0, (frames, k_max))
+    amps[:, rng.random(k_max) < 0.3] = 0.0
+    amps[rng.random(frames) < 0.2] = 0.0
+    return F0Contour.from_values(f0, hop), HarmonicAmplitudes(amps), rng
+
+
+_equivalence_cases = dict(
+    sr=st.sampled_from([8000, 22050, 44100]),
+    hop=st.integers(min_value=1, max_value=320),
+    frames=st.integers(min_value=1, max_value=40),
+    k_max=st.integers(min_value=1, max_value=24),
+    top=st.floats(min_value=0.01, max_value=0.49),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(with_phi0=st.booleans(), **_equivalence_cases)
+def test_bank_matches_per_column_reference(sr, hop, frames, k_max, top, seed, with_phi0):
+    # top sets the highest f0 as a fraction of the rate: low values keep every
+    # harmonic in band, high ones gate the bank partway through
+    f0, amps, rng = _random_features(seed, sr, hop, frames, k_max, top * sr)
+    phi0 = InitialPhases.wrapped(rng.uniform(-4, 4, k_max) if with_phi0 else np.zeros(k_max))
+    got = harmonic_synthesize(f0, amps, sr, phi0).samples
+    assert np.abs(got - _frozen_bank(f0, amps, sr, phi0)).max() <= 1e-9
+
+
+def test_bank_matches_per_column_reference_dense_15s():
+    # decoder-style: 15 s at 44.1 kHz, all 100 columns live, 1/k roll-off,
+    # vibrato and a glide, two unvoiced gaps, float32-rounded like a bundle
+    sr, hop, k_max = 44100, 512, 100
+    frames = -(-15 * sr // hop)
+    rng = np.random.default_rng(15)
+    t = np.arange(frames) * hop / sr
+    f0 = 165.0 * 2 ** ((2 * t / 15 + 0.3 * np.sin(2 * np.pi * 5.5 * t)) / 12)
+    gaps = np.zeros(frames, dtype=bool)
+    for m in (400, 900):
+        gaps[m : m + 17] = True
+    f0 = np.where(gaps, 0.0, f0).astype(np.float32).astype(np.float64)
+    amps = 0.12 * rng.uniform(0.8, 1.2, (frames, k_max)) / np.arange(1, k_max + 1)
+    amps[gaps] = 0.0
+    contour = F0Contour.from_values(f0, hop)
+    harmonics = HarmonicAmplitudes(amps.astype(np.float32).astype(np.float64))
+    phi0 = InitialPhases.zeros(k_max)
+    got = harmonic_synthesize(contour, harmonics, sr).samples
+    assert np.abs(got - _frozen_bank(contour, harmonics, sr, phi0)).max() <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(extra=st.integers(min_value=-319, max_value=320), **_equivalence_cases)
+def test_initial_phases_match_per_column_reference(sr, hop, frames, k_max, top, seed, extra):
+    f0, _, rng = _random_features(seed, sr, hop, frames, k_max, top * sr)
+    # the signal may end before or after the contour's last frame
+    n = max(1, frames * hop + max(extra, 1 - hop))
+    x = Waveform(np.sin(np.arange(n) * rng.uniform(0.01, 1.0)) + rng.standard_normal(n), sr)
+    got = estimate_initial_phases(x, f0, k_max).values
+    wrapped = np.angle(np.exp(1j * (got - _frozen_initial_phases(x, f0, k_max))))
+    assert np.abs(wrapped).max() <= 1e-9
 
 
 # ------------------------------------------------------- noise branch
