@@ -13,7 +13,7 @@ import numpy as np
 
 from hnsynth.analysis import analyze, estimate_f0
 from hnsynth.config import build_tool_config
-from hnsynth.features import FeatureBundle, render_bundle, save_features
+from hnsynth.features import FeatureBundle, save_features
 from hnsynth.losses import f0_rmse
 from hnsynth.spectral import mel_spectrogram
 from hnsynth.synth import harmonic_synthesize, noise_synthesize

@@ -7,8 +7,8 @@ window-gain normalization, so a unit-amplitude sinusoid measures as ~1.
 The noise spectrum is the magnitude STFT of the residual after subtracting a
 phase-aligned harmonic reconstruction.
 
-All frame-level outputs share the hop and the frame anchor (m*hop + hop//2)
-used by the spectral module, so contours, amplitude matrices, and STFTs of the
+All frame-level outputs take the frame count and the frame anchor from the
+spectral module's frame grid, so contours, amplitude matrices, and STFTs of the
 same signal line up frame for frame.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralConfig, stft
+from .spectral import SpectralConfig, frame_anchor, frame_count, stft
 from .synth import _phasor_blocks, harmonic_synthesize
 from .types import F0Contour, HarmonicAmplitudes, InitialPhases, NoiseMagnitudeSpectrum, Waveform
 
@@ -62,10 +62,6 @@ class AnalysisConfig:
             raise ValueError("harmonic_floor must lie in [0, 1)")
         if self.median_width < 1 or self.median_width % 2 == 0:
             raise ValueError("median_width must be a positive odd count")
-
-
-def _frame_centers(n_frames: int, hop: int) -> np.ndarray:
-    return np.arange(n_frames) * hop + hop // 2
 
 
 def _nccf_frames(x: np.ndarray, centers: np.ndarray, wlen: int, max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,7 +171,7 @@ def estimate_f0(x: Waveform, cfg: AnalysisConfig) -> F0Contour:
     if cfg.f0_max >= sr / 2:
         raise ValueError(f"f0_max={cfg.f0_max} must stay below Nyquist ({sr / 2})")
     hop = cfg.hop_size
-    n_frames = math.ceil(len(x) / hop)
+    n_frames = frame_count(len(x), hop)
     if n_frames < 2:
         raise ValueError(f"signal too short: need at least 2 frames of hop {hop}")
 
@@ -184,7 +180,7 @@ def estimate_f0(x: Waveform, cfg: AnalysisConfig) -> F0Contour:
     # Correlating over two full periods of the lowest trackable pitch keeps
     # the refined lag stable under heavy additive noise.
     wlen = 2 * max_lag
-    centers = _frame_centers(n_frames, hop)
+    centers = frame_anchor(np.arange(n_frames), hop)
     nccf, base_energy, _ = _nccf_frames(x.samples, centers, wlen, max_lag)
 
     energy_floor = wlen * cfg.silence_rms**2
@@ -206,7 +202,7 @@ def estimate_f0(x: Waveform, cfg: AnalysisConfig) -> F0Contour:
     # cut frame-to-frame jitter that would read back as FM in resynthesis.
     values = _smooth_voiced(values, voiced, cfg.median_width, np.median)
     values = _smooth_voiced(values, voiced, cfg.median_width, np.mean)
-    values = _phase_refine(x.samples, values, voiced, sr, hop)
+    values = _phase_refine(x.samples, values, voiced, centers, sr, hop)
     values[~voiced] = 0.0
     return F0Contour(hop_size=hop, values=values, voiced=voiced)
 
@@ -215,6 +211,7 @@ def _phase_refine(
     x: np.ndarray,
     values: np.ndarray,
     voiced: np.ndarray,
+    centers: np.ndarray,
     sr: int,
     hop: int,
     max_correction: float = 3.0,
@@ -233,8 +230,7 @@ def _phase_refine(
     # harmonics that would otherwise bias the phase step.
     taper = np.hanning(half + 1)[:-1]
     for m in np.flatnonzero(voiced):
-        center = m * hop + hop // 2
-        lo, hi = center - half, center + half
+        lo, hi = centers[m] - half, centers[m] + half
         if lo < 0 or hi > len(x):
             continue  # edge frames keep the lag-domain estimate
         f_hat = values[m]

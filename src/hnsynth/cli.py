@@ -15,13 +15,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import analyze, estimate_f0
-from .config import build_tool_config, describe_schema, parse_config_file
+from .config import ToolConfig, build_tool_config, describe_schema, parse_config_file
 from .errors import FormatError
 from .features import FeatureBundle, load_features, render_bundle, save_features
 from .ioutil import atomic_write
-from .losses import dsp_loss, f0_rmse, mel_l1
-from .spectral import SpectralConfig, multi_resolution_spectrograms
-from .types import Waveform
+from .losses import f0_rmse, mel_l1
+from .spectral import multi_resolution_configs, multi_resolution_spectrograms
+from .types import F0Contour, Waveform
 from .wavio import WAV_FORMATS, read_wav, write_wav
 
 
@@ -70,14 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args) -> dict:
-    return parse_config_file(args.config) if args.config else {}
-
-
-def _seed(args, overrides: dict) -> int:
+def _tool_config(args, sample_rate: int) -> ToolConfig:
+    """Rate defaults, then the --config file, then the --seed flag."""
+    overrides = parse_config_file(args.config) if args.config else {}
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(overrides.get("seed", 0))
+        overrides["seed"] = args.seed
+    return build_tool_config(sample_rate, overrides)
 
 
 def _emit_report(report: dict, path: str | None) -> None:
@@ -89,17 +87,31 @@ def _emit_report(report: dict, path: str | None) -> None:
 
 
 def _mrs_l1(a: Waveform, b: Waveform, fft_sizes) -> float:
-    cfgs = [SpectralConfig(fft_size=n, hop_size=n // 4, win_size=n) for n in fft_sizes]
+    cfgs = multi_resolution_configs(fft_sizes)
     mags_a = multi_resolution_spectrograms(a, cfgs)
     mags_b = multi_resolution_spectrograms(b, cfgs)
     return float(np.mean([np.abs(x - y).mean() for x, y in zip(mags_a, mags_b)]))
 
 
-def _cmd_analyze(args) -> int:
-    x = read_wav(args.input)
-    tool = build_tool_config(x.sample_rate, _overrides(args))
+def _report(a: Waveform, b: Waveform, tool: ToolConfig, f0_b: F0Contour | None = None) -> dict:
+    """Metrics of a against b; f0_b is b's contour when the caller already has it."""
+    mel = mel_l1(a, b, tool.mel)
+    f0_a = estimate_f0(a, tool.analysis)
+    if f0_b is None:
+        f0_b = estimate_f0(b, tool.analysis)
+    return {
+        "mel_l1": mel,
+        "dsp_loss": tool.weights.lambda_dsp * mel,
+        "f0_rmse_hz": f0_rmse(f0_a, f0_b),
+        "mrs_l1": _mrs_l1(a, b, tool.mrs_fft_sizes),
+        "n_samples": len(a),
+        "sample_rate": a.sample_rate,
+    }
+
+
+def _analyze_bundle(x: Waveform, tool: ToolConfig) -> FeatureBundle:
     f0, harmonics, noise = analyze(x, tool.analysis, tool.spectral)
-    bundle = FeatureBundle(
+    return FeatureBundle(
         f0=f0,
         harmonics=harmonics,
         noise=noise,
@@ -107,14 +119,18 @@ def _cmd_analyze(args) -> int:
         spectral=tool.spectral,
         analysis=tool.analysis,
     )
-    save_features(bundle, args.output)
+
+
+def _cmd_analyze(args) -> int:
+    x = read_wav(args.input)
+    save_features(_analyze_bundle(x, _tool_config(args, x.sample_rate)), args.output)
     return 0
 
 
 def _cmd_synth(args) -> int:
-    overrides = _overrides(args)
     bundle = load_features(args.input)
-    y = render_bundle(bundle, seed=_seed(args, overrides))
+    tool = _tool_config(args, bundle.sample_rate)
+    y = render_bundle(bundle, seed=tool.seed)
     clipped = write_wav(y, args.output, args.format)
     if clipped:
         print(f"hnsynth: clipped {clipped} samples", file=sys.stderr)
@@ -123,30 +139,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_resynth(args) -> int:
     x = read_wav(args.input)
-    overrides = _overrides(args)
-    tool = build_tool_config(x.sample_rate, overrides)
-    f0, harmonics, noise = analyze(x, tool.analysis, tool.spectral)
-    bundle = FeatureBundle(
-        f0=f0,
-        harmonics=harmonics,
-        noise=noise,
-        sample_rate=x.sample_rate,
-        spectral=tool.spectral,
-        analysis=tool.analysis,
-    )
-    rendered = render_bundle(bundle, seed=_seed(args, overrides))
+    tool = _tool_config(args, x.sample_rate)
+    bundle = _analyze_bundle(x, tool)
+    rendered = render_bundle(bundle, seed=tool.seed)
     y = Waveform(rendered.samples[: len(x)], x.sample_rate)
     clipped = write_wav(y, args.output, args.format)
-    f0_again = estimate_f0(y, tool.analysis)
-    report = {
-        "mel_l1": mel_l1(y, x, tool.mel),
-        "dsp_loss": dsp_loss(y, x, tool.mel, tool.weights),
-        "f0_rmse_hz": f0_rmse(f0_again, f0),
-        "mrs_l1": _mrs_l1(y, x, tool.mrs_fft_sizes),
-        "clipped_samples": clipped,
-        "n_samples": len(x),
-        "sample_rate": x.sample_rate,
-    }
+    report = _report(y, x, tool, bundle.f0)
+    report["clipped_samples"] = clipped
     _emit_report(report, args.report)
     return 0
 
@@ -158,15 +157,8 @@ def _cmd_metrics(args) -> int:
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)} samples")
     if a.sample_rate != b.sample_rate:
         raise ValueError(f"sample rate mismatch: {a.sample_rate} vs {b.sample_rate}")
-    tool = build_tool_config(a.sample_rate, _overrides(args))
-    report = {
-        "mel_l1": mel_l1(a, b, tool.mel),
-        "dsp_loss": dsp_loss(a, b, tool.mel, tool.weights),
-        "f0_rmse_hz": f0_rmse(estimate_f0(a, tool.analysis), estimate_f0(b, tool.analysis)),
-        "mrs_l1": _mrs_l1(a, b, tool.mrs_fft_sizes),
-        "n_samples": len(a),
-        "sample_rate": a.sample_rate,
-    }
+    tool = _tool_config(args, a.sample_rate)
+    report = _report(a, b, tool)
     _emit_report(report, None)
     return 0
 

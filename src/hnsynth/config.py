@@ -5,28 +5,18 @@ schema below is the full key set; every tunable design parameter of the
 pipeline appears here so runs are reproducible from a config file alone.
 
 File syntax: one `key = value` per line, `#` starts a comment, blank lines
-ignored. Booleans are true/false, the f_max key also accepts `none` (meaning
-Nyquist), and mrs_fft_sizes takes a comma-separated list.
+ignored. The f_max key also accepts `none` (meaning Nyquist), and
+mrs_fft_sizes takes a comma-separated list.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .analysis import AnalysisConfig
 from .errors import FormatError
 from .losses import LossWeights
-from .spectral import MelConfig, SpectralConfig, default_spectral
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+from .spectral import MRS_FFT_SIZES, MelConfig, SpectralConfig, default_spectral
 
 
 def _parse_optional_float(text: str):
@@ -43,7 +33,6 @@ SCHEMA = {
     "hop_size": (int, "hop between frames in samples, shared by all stages"),
     "win_size": (int, "analysis window length in samples"),
     "window": (str, "window family: hann, hamming, blackman, blackmanharris"),
-    "center": (_parse_bool, "center frames on m*hop + hop//2 (true) or left-align"),
     "n_mels": (int, "mel band count"),
     "f_min": (float, "lowest mel band edge in Hz"),
     "f_max": (_parse_optional_float, "highest mel band edge in Hz, or none for Nyquist"),
@@ -59,8 +48,6 @@ SCHEMA = {
     "silence_rms": (float, "frame RMS below which frames are unvoiced outright"),
     "median_width": (int, "odd length of the F0 median/mean smoothing windows"),
     "lambda_dsp": (float, "weight of the DSP mel loss"),
-    "lambda_mel": (float, "weight of the decoder mel loss"),
-    "lambda_fm": (float, "feature-matching weight, carried but unused here"),
     "seed": (int, "noise-phase RNG seed"),
 }
 
@@ -73,8 +60,8 @@ class ToolConfig:
     mel: MelConfig
     analysis: AnalysisConfig
     weights: LossWeights
-    mrs_fft_sizes: tuple[int, ...] = (512, 1024, 2048)
-    seed: int = 0
+    mrs_fft_sizes: tuple[int, ...]
+    seed: int
 
 
 def parse_config_file(path) -> dict:
@@ -117,7 +104,6 @@ def build_tool_config(sample_rate: int, overrides: dict | None = None) -> ToolCo
         hop_size=overrides.get("hop_size", base.hop_size),
         win_size=overrides.get("win_size", base.win_size),
         window=overrides.get("window", base.window),
-        center=overrides.get("center", base.center),
     )
     mel = MelConfig(
         spectral=spectral,
@@ -141,17 +127,13 @@ def build_tool_config(sample_rate: int, overrides: dict | None = None) -> ToolCo
         silence_rms=overrides.get("silence_rms", 1e-5),
         median_width=overrides.get("median_width", 5),
     )
-    weights = LossWeights(
-        lambda_dsp=overrides.get("lambda_dsp", 45.0),
-        lambda_mel=overrides.get("lambda_mel", 45.0),
-        lambda_fm=overrides.get("lambda_fm", 0.0),
-    )
-    mrs = tuple(overrides.get("mrs_fft_sizes", (512, 1024, 2048)))
+    weights = LossWeights(lambda_dsp=overrides.get("lambda_dsp", 45.0))
+    mrs = tuple(overrides.get("mrs_fft_sizes", MRS_FFT_SIZES))
     for n in mrs:
         if n <= 0 or (n & (n - 1)) != 0:
             raise ValueError(f"mrs_fft_sizes entries must be powers of two, got {n}")
     seed = int(overrides.get("seed", 0))
-    if not math.isfinite(seed) or seed < 0:
+    if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return ToolConfig(
         spectral=spectral,

@@ -145,7 +145,11 @@ def load_features(path) -> FeatureBundle:
         k_max = int(header["k_max"])
         n_bins = int(header["n_bins"])
         sample_rate = int(header["sample_rate"])
-        spectral = SpectralConfig(**header["spectral"])
+        spectral_fields = {**header["spectral"]}
+        # bundles written while framing could be uncentered carry "center": true
+        if spectral_fields.pop("center", True) is not True:
+            raise FormatError(f"{path}: uncentered framing (spectral.center) is not supported")
+        spectral = SpectralConfig(**spectral_fields)
         analysis = AnalysisConfig(**header["analysis"])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: incomplete header: {exc}") from exc

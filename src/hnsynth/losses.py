@@ -19,22 +19,13 @@ from .types import F0Contour, Waveform
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Scale factors for the spectral losses.
-
-    lambda_fm belongs to the adversarial feature-matching objective, which
-    needs trained discriminators; it is carried for config completeness but
-    nothing in this package consumes it.
-    """
+    """Scale factor of the DSP mel loss."""
 
     lambda_dsp: float = 45.0
-    lambda_mel: float = 45.0
-    lambda_fm: float = 0.0
 
     def __post_init__(self):
-        for name in ("lambda_dsp", "lambda_mel", "lambda_fm"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not math.isfinite(self.lambda_dsp) or self.lambda_dsp < 0:
+            raise ValueError(f"lambda_dsp must be finite and >= 0, got {self.lambda_dsp}")
 
 
 @dataclass(frozen=True)

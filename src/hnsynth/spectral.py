@@ -1,17 +1,18 @@
 """Windowed STFT/iSTFT, mel filterbank, and multi-resolution magnitude features.
 
-Frame geometry is shared with the rest of the package: in centered mode frame m
-describes the neighborhood of sample m*hop + hop//2, the same anchor used when
-frame-level features are interpolated to sample rate. A signal of length L
-yields ceil(L/hop) centered frames, so framed features and STFTs of the same
-signal always line up.
+This module owns the frame grid of the whole package. Frame m describes the
+neighborhood of sample frame_anchor(m, hop) = m*hop + hop//2, the same anchor
+used when frame-level features are interpolated to sample rate, and a signal
+of length L yields frame_count(L, hop) = ceil(L/hop) frames. The F0 tracker,
+the STFT and the synthesizer all take their grid from these two functions, so
+framed features and STFTs of the same signal always line up.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -33,6 +34,16 @@ def _window(name: str, length: int) -> np.ndarray:
     return w
 
 
+def frame_anchor(m, hop_size: int):
+    """Sample that frame m describes, m*hop_size + hop_size//2; m may be an index array."""
+    return m * hop_size + hop_size // 2
+
+
+def frame_count(n_samples: int, hop_size: int) -> int:
+    """Frames covering n_samples samples: ceil(n_samples / hop_size), at least 1."""
+    return max(1, math.ceil(n_samples / hop_size))
+
+
 @dataclass(frozen=True)
 class SpectralConfig:
     """STFT parameters: FFT size (power of two), hop, window length and family."""
@@ -41,7 +52,6 @@ class SpectralConfig:
     hop_size: int = 512
     win_size: int = 2048
     window: str = "hann"
-    center: bool = True
 
     def __post_init__(self):
         if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
@@ -61,7 +71,7 @@ class SpectralConfig:
     @property
     def pad_left(self) -> int:
         """Samples of left zero-padding; frame m starts at m*hop - pad_left."""
-        return self.fft_size // 2 - self.hop_size // 2 if self.center else 0
+        return self.fft_size // 2 - frame_anchor(0, self.hop_size)
 
     def window_array(self) -> np.ndarray:
         """Periodic window of win_size samples, zero-padded centered to fft_size."""
@@ -81,11 +91,7 @@ class SpectralConfig:
 
     def n_frames(self, n_samples: int) -> int:
         """Frame count for a signal of the given length under this config."""
-        if self.center:
-            return max(1, math.ceil(n_samples / self.hop_size))
-        if n_samples < self.fft_size:
-            raise ValueError("signal shorter than fft_size with centering disabled")
-        return 1 + (n_samples - self.fft_size) // self.hop_size
+        return frame_count(n_samples, self.hop_size)
 
 
 def default_spectral(sample_rate: int) -> SpectralConfig:
@@ -95,43 +101,31 @@ def default_spectral(sample_rate: int) -> SpectralConfig:
     return SpectralConfig(fft_size=1024, hop_size=256, win_size=1024)
 
 
-def multi_resolution_configs() -> list[SpectralConfig]:
-    """The three built-in resolutions used for multi-scale magnitude features."""
-    return [
-        SpectralConfig(fft_size=n, hop_size=n // 4, win_size=n) for n in (512, 1024, 2048)
-    ]
+# FFT sizes of the built-in multi-resolution features and metrics.
+MRS_FFT_SIZES = (512, 1024, 2048)
 
 
-def _frame_signal(
-    x: np.ndarray, cfg: SpectralConfig, pad_mode: str = "constant"
-) -> tuple[np.ndarray, int]:
-    """Return (frames x fft_size view, pad_left) of the padded signal."""
+def multi_resolution_configs(fft_sizes=MRS_FFT_SIZES) -> list[SpectralConfig]:
+    """One config per FFT size, each with a quarter-size hop and a full-size window."""
+    return [SpectralConfig(fft_size=n, hop_size=n // 4, win_size=n) for n in fft_sizes]
+
+
+def _frame_signal(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+    """Frames x fft_size view of the zero-padded signal; frame m starts at m*hop - pad_left."""
     fft, hop = cfg.fft_size, cfg.hop_size
-    pad_left = cfg.pad_left
     n_frames = cfg.n_frames(len(x))
-    if cfg.center:
-        end = (n_frames - 1) * hop + fft
-        pad_right = max(0, end - (pad_left + len(x)))
-        if pad_mode == "reflect" and max(pad_left, pad_right) > len(x) - 1:
-            pad_mode = "constant"  # reflection is undefined past the signal length
-        xp = np.pad(x, (pad_left, pad_right), mode=pad_mode)
-    else:
-        xp = np.ascontiguousarray(x)
+    end = (n_frames - 1) * hop + fft
+    pad_right = max(0, end - (cfg.pad_left + len(x)))
+    xp = np.pad(x, (cfg.pad_left, pad_right))
     stride = xp.strides[0]
-    frames = as_strided(xp, shape=(n_frames, fft), strides=(hop * stride, stride))
-    return frames, pad_left
+    return as_strided(xp, shape=(n_frames, fft), strides=(hop * stride, stride))
 
 
-def stft(x: Waveform, cfg: SpectralConfig, pad_mode: str = "constant") -> np.ndarray:
-    """Complex spectrogram, shape (frames, fft_size//2 + 1).
-
-    pad_mode chooses how centering extends the signal past its edges: zeros by
-    default, or "reflect" for measurement tasks where the step to silence
-    would smear energy across the spectrum.
-    """
+def stft(x: Waveform, cfg: SpectralConfig) -> np.ndarray:
+    """Complex spectrogram, shape (frames, fft_size//2 + 1)."""
     if len(x) == 0:
         raise ValueError("cannot take the STFT of an empty signal")
-    frames, _ = _frame_signal(x.samples, cfg, pad_mode)
+    frames = _frame_signal(x.samples, cfg)
     return np.fft.rfft(frames * cfg.window_array(), n=cfg.fft_size, axis=1)
 
 

@@ -7,8 +7,8 @@ fundamental frequency (inclusive of sample n, i.e. psi(n) covers samples
 
 Frame values reach the samples through one segment grid: the output is laid
 out as frames + 1 rows of hop samples whose boundaries fall on the frame
-anchors m*hop + hop//2, so row r holds the linear ramp from frame r-1 to
-frame r (row 0 is the constant lead-in, the last row the constant tail).
+anchors (spectral.frame_anchor), so row r holds the linear ramp from frame
+r-1 to frame r (row 0 is the constant lead-in, the last row the constant tail).
 One row index and one in-row offset then serve f0 and every amplitude column
 alike, with the arithmetic of np.interp over the anchors.
 
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import SpectralConfig, istft
+from .spectral import SpectralConfig, frame_anchor, istft
 from .types import F0Contour, HarmonicAmplitudes, InitialPhases, NoiseMagnitudeSpectrum, Waveform
 
 # Grid rows per block: enough to amortize numpy's per-call overhead, few enough
@@ -46,8 +46,9 @@ def _segment_grid(frame_values: np.ndarray, hop_size: int) -> tuple[np.ndarray, 
     """Start value and per-sample slope of each row of the segment grid.
 
     frame_values is (frames,) or (frames, columns); both results have
-    frames + 1 rows. Offset j of row r reads start[r] + slope[r] * j, which is
-    np.interp's own arithmetic for the anchors m*hop_size + hop_size//2.
+    frames + 1 rows. Row r starts on the anchor of frame r-1, and offset j of
+    row r reads start[r] + slope[r] * j, which is np.interp's own arithmetic
+    for the frame anchors.
     """
     ext = np.concatenate([frame_values[:1], frame_values, frame_values[-1:]])
     return ext[:-1], (ext[1:] - ext[:-1]) / hop_size
@@ -63,7 +64,7 @@ def _segment_rows(start: np.ndarray, slope: np.ndarray, offsets: np.ndarray, out
 def interpolate_to_samples(frame_values, hop_size: int, out_len: int) -> np.ndarray:
     """Piecewise-linear interpolation of per-frame values to sample rate.
 
-    Frame m anchors at sample m*hop_size + hop_size//2; the ends extend
+    Frame m anchors at sample frame_anchor(m, hop_size); the ends extend
     the edge frame values as constants.
     """
     values = np.ascontiguousarray(frame_values, dtype=np.float64)
@@ -77,7 +78,7 @@ def interpolate_to_samples(frame_values, hop_size: int, out_len: int) -> np.ndar
             f"{values.size} frames of hop {hop_size}"
         )
     rows = _segment_rows(*_segment_grid(values, hop_size), np.arange(hop_size, dtype=np.float64))
-    lead = hop_size - hop_size // 2
+    lead = -frame_anchor(-1, hop_size)  # samples of row 0 before sample 0
     return rows.reshape(-1)[lead : lead + out_len]
 
 
@@ -133,14 +134,14 @@ def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
     # f0(n) is rebuilt block by block rather than kept for the whole signal
     start, slope = _segment_grid(f0.values, hop)
     offsets = np.arange(hop, dtype=np.float64)
-    lead = hop - hop // 2
     total_rows = f0.frames + 1
     for r0 in range(0, total_rows, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, total_rows)
-        lo, hi = max(r0 * hop - lead, 0), min(r1 * hop - lead, n)
+        first = frame_anchor(r0 - 1, hop)  # row r starts on the anchor of frame r-1
+        lo, hi = max(first, 0), min(frame_anchor(r1 - 1, hop), n)
         if lo >= hi:
             break
-        skip = lo - (r0 * hop - lead)
+        skip = lo - first
         f = _segment_rows(start[r0:r1], slope[r0:r1], offsets).reshape(-1)[skip : skip + hi - lo]
         voiced = f > 0
         if not voiced.any():

@@ -44,6 +44,20 @@ def test_synth_same_seed_is_bit_identical(tmp_path, tone_wav):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_seed_comes_from_config_file_unless_flag_given(tmp_path, tone_wav):
+    feat = tmp_path / "tone.hnsf"
+    assert cli_main(["analyze", str(tone_wav), "-o", str(feat)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 42\n")
+    a, b, c, d = (tmp_path / n for n in ("a.wav", "b.wav", "c.wav", "d.wav"))
+    assert cli_main(["synth", str(feat), "-o", str(a), "--seed", "42"]) == 0
+    assert cli_main(["synth", str(feat), "-o", str(b), "--config", str(cfg)]) == 0
+    assert cli_main(["synth", str(feat), "-o", str(c), "--seed", "43"]) == 0
+    assert cli_main(["synth", str(feat), "-o", str(d), "--config", str(cfg), "--seed", "43"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert c.read_bytes() == d.read_bytes() != a.read_bytes()
+
+
 def test_resynth_tone_reports_tight_mel(tmp_path, tone_wav, capsys):
     out = tmp_path / "out.wav"
     report_path = tmp_path / "report.json"
@@ -54,6 +68,8 @@ def test_resynth_tone_reports_tight_mel(tmp_path, tone_wav, capsys):
     assert report["n_samples"] == len(read_wav(tone_wav))
     assert report["sample_rate"] == SR
     assert set(report) >= {"mel_l1", "dsp_loss", "f0_rmse_hz", "mrs_l1", "clipped_samples"}
+    # the default lambda_dsp weights the same mel L1, with no second computation
+    assert report["dsp_loss"] == 45.0 * report["mel_l1"]
     # the same report is printed to stdout
     printed = json.loads(capsys.readouterr().out)
     assert printed == report
@@ -74,6 +90,7 @@ def test_metrics_distinct_files_nonzero(tmp_path, tone_wav, capsys):
     assert cli_main(["metrics", str(tone_wav), str(other)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["mel_l1"] > 0.0
+    assert report["dsp_loss"] == 45.0 * report["mel_l1"]
     assert report["f0_rmse_hz"] > 1.0
 
 
@@ -132,9 +149,9 @@ def _nan_first_f0(header, payload):
     return header, struct.pack("<f", np.nan) + payload[4:]
 
 
-def _set_analysis(key, value):
+def _set_field(section, key, value):
     def edit(header, payload):
-        header["analysis"][key] = value
+        header[section][key] = value
         return header, payload
 
     return edit
@@ -153,7 +170,8 @@ def _set_header(key, value):
     [
         pytest.param(_set_header("frames", 0), id="zero-frames"),
         pytest.param(_set_header("frames", -3), id="negative-frames"),
-        pytest.param(_set_analysis("f0_min", 900.0), id="f0-min-above-f0-max"),
+        pytest.param(_set_field("analysis", "f0_min", 900.0), id="f0-min-above-f0-max"),
+        pytest.param(_set_field("spectral", "center", False), id="uncentered"),
         pytest.param(_nan_first_f0, id="nan-in-f0-payload"),
         pytest.param(lambda header, payload: ([], payload), id="header-not-an-object"),
     ],

@@ -21,7 +21,6 @@ def test_parse_typed_values_with_comments(tmp_path):
         hop_size = 256
         win_size = 1024
         window = hamming
-        center = false
         f_max = none
         mrs_fft_sizes = 256, 512, 1024
         harmonic_floor = 0.02   # trailing comment
@@ -30,7 +29,6 @@ def test_parse_typed_values_with_comments(tmp_path):
     overrides = parse_config_file(path)
     assert overrides["fft_size"] == 1024
     assert overrides["window"] == "hamming"
-    assert overrides["center"] is False
     assert overrides["f_max"] is None
     assert overrides["mrs_fft_sizes"] == (256, 512, 1024)
     assert overrides["harmonic_floor"] == 0.02

@@ -125,6 +125,25 @@ def test_version_mismatch_raises_format_error(tmp_path, rng):
         load_features(bad)
 
 
+def test_header_center_true_loads_like_no_key(tmp_path, rng):
+    # bundles written while framing could be uncentered carry "center": true
+    path = tmp_path / "b.hnsf"
+    save_features(random_bundle(rng), path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + header_len])
+    assert "center" not in header["spectral"]
+    header["spectral"]["center"] = True
+    blob = json.dumps(header, sort_keys=True).encode()
+    old = tmp_path / "old.hnsf"
+    old.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[8 + header_len :])
+    a, b = load_features(path), load_features(old)
+    assert np.array_equal(a.f0.values, b.f0.values)
+    assert np.array_equal(a.harmonics.values, b.harmonics.values)
+    assert np.array_equal(a.noise.values, b.noise.values)
+    assert (a.spectral, a.analysis, a.sample_rate) == (b.spectral, b.analysis, b.sample_rate)
+
+
 def test_bad_magic_raises_format_error(tmp_path, rng):
     path = tmp_path / "b.hnsf"
     save_features(random_bundle(rng), path)
