@@ -1,9 +1,13 @@
 """End-to-end resynthesis demo.
 
 Analyzes a WAV into f0 + harmonic amplitudes + noise magnitudes, renders the
-two synthesizer branches back into audio, and prints how close the copy is.
-With no input argument a short synthetic singing-like tone is generated first,
-so the script runs standalone.
+bundle back into audio, and prints how close the copy is. With no input
+argument a short synthetic singing-like tone is generated first, so the script
+runs standalone.
+
+Writes into the output directory: input.wav (only when the tone is generated),
+features.hnsf (the analysis bundle) and resynth.wav (its rendering, cut to the
+input's length).
 """
 
 import argparse
@@ -11,12 +15,10 @@ import os
 
 import numpy as np
 
-from hnsynth.analysis import analyze, estimate_f0
+from hnsynth.analysis import estimate_f0
 from hnsynth.config import build_tool_config
-from hnsynth.features import FeatureBundle, save_features
-from hnsynth.losses import f0_rmse
-from hnsynth.spectral import mel_spectrogram
-from hnsynth.synth import harmonic_synthesize, noise_synthesize
+from hnsynth.features import analyze_bundle, render_bundle, save_features
+from hnsynth.losses import f0_rmse, mel_l1
 from hnsynth.types import Waveform
 from hnsynth.wavio import read_wav, write_wav
 
@@ -48,30 +50,18 @@ def main(args):
     print(f"input: {len(x)} samples at {x.sample_rate} Hz")
 
     tool = build_tool_config(x.sample_rate)
-    f0, harmonics, noise = analyze(x, tool.analysis, tool.spectral)
-    print(f"analyzed {f0.frames} frames, {int(f0.voiced.sum())} voiced")
-
-    bundle = FeatureBundle(f0, harmonics, noise, x.sample_rate, tool.spectral, tool.analysis)
+    bundle = analyze_bundle(x, tool.analysis, tool.spectral)
+    print(f"analyzed {bundle.frames} frames, {int(bundle.f0.voiced.sum())} voiced")
     save_features(bundle, os.path.join(args.out_dir, "features.hnsf"))
 
-    harmonic = harmonic_synthesize(f0, harmonics, x.sample_rate)
-    noise_wav = noise_synthesize(
-        noise, tool.spectral, seed=args.seed, sample_rate=x.sample_rate, out_len=len(harmonic)
-    )
-    y = Waveform((harmonic.samples + noise_wav.samples)[: len(x)], x.sample_rate)
+    rendered = render_bundle(bundle, seed=args.seed)
+    y = Waveform(rendered.samples[: len(x)], x.sample_rate)
+    clipped = write_wav(y, os.path.join(args.out_dir, "resynth.wav"))
+    if clipped:
+        print(f"warning: {clipped} samples clipped writing resynth.wav")
 
-    for name, wav in [("harmonic", harmonic), ("noise", noise_wav), ("resynth", y)]:
-        clipped = write_wav(wav, os.path.join(args.out_dir, name + ".wav"))
-        if clipped:
-            print(f"warning: {clipped} samples clipped writing {name}.wav")
-
-    mel_x = mel_spectrogram(x, tool.mel)
-    mel_y = mel_spectrogram(y, tool.mel)
-    f0_check = estimate_f0(y, tool.analysis)
-    print(f"mel L1          {np.abs(mel_x - mel_y).mean():.4f}")
-    print(f"f0 RMSE (Hz)    {f0_rmse(f0_check, f0):.4f}")
-    print(f"harmonic/noise RMS  {np.sqrt(np.mean(harmonic.samples**2)):.4f} / "
-          f"{np.sqrt(np.mean(noise_wav.samples**2)):.4f}")
+    print(f"mel L1          {mel_l1(y, x, tool.mel):.4f}")
+    print(f"f0 RMSE (Hz)    {f0_rmse(estimate_f0(y, tool.analysis), bundle.f0):.4f}")
     print("outputs in", args.out_dir)
 
 

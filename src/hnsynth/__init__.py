@@ -15,14 +15,7 @@ from .analysis import (
 )
 from .config import SCHEMA, ToolConfig, build_tool_config, parse_config_file
 from .errors import FormatError, UnsupportedAudioError
-from .features import (
-    FeatureBundle,
-    load_f0,
-    load_features,
-    render_bundle,
-    save_f0,
-    save_features,
-)
+from .features import FeatureBundle, analyze_bundle, load_features, render_bundle, save_features
 from .losses import (
     DurationPair,
     LossWeights,
@@ -46,7 +39,6 @@ from .spectral import (
 )
 from .synth import (
     cumulative_phase,
-    dsp_combine,
     harmonic_synthesize,
     interpolate_to_samples,
     noise_synthesize,
@@ -79,11 +71,11 @@ __all__ = [
     "UnsupportedAudioError",
     "Waveform",
     "analyze",
+    "analyze_bundle",
     "aux_feature_loss",
     "build_tool_config",
     "cumulative_phase",
     "default_spectral",
-    "dsp_combine",
     "dsp_loss",
     "duration_loss",
     "duration_rmse",
@@ -95,7 +87,6 @@ __all__ = [
     "harmonic_synthesize",
     "interpolate_to_samples",
     "istft",
-    "load_f0",
     "load_features",
     "mel_filterbank",
     "mel_l1",
@@ -106,7 +97,6 @@ __all__ = [
     "parse_config_file",
     "read_wav",
     "render_bundle",
-    "save_f0",
     "save_features",
     "stft",
     "write_wav",

@@ -14,10 +14,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import analyze, estimate_f0
+from .analysis import estimate_f0
 from .config import ToolConfig, build_tool_config, describe_schema, parse_config_file
 from .errors import FormatError
-from .features import FeatureBundle, load_features, render_bundle, save_features
+from .features import analyze_bundle, load_features, render_bundle, save_features
 from .ioutil import atomic_write
 from .losses import f0_rmse, mel_l1
 from .spectral import multi_resolution_configs, multi_resolution_spectrograms
@@ -109,21 +109,10 @@ def _report(a: Waveform, b: Waveform, tool: ToolConfig, f0_b: F0Contour | None =
     }
 
 
-def _analyze_bundle(x: Waveform, tool: ToolConfig) -> FeatureBundle:
-    f0, harmonics, noise = analyze(x, tool.analysis, tool.spectral)
-    return FeatureBundle(
-        f0=f0,
-        harmonics=harmonics,
-        noise=noise,
-        sample_rate=x.sample_rate,
-        spectral=tool.spectral,
-        analysis=tool.analysis,
-    )
-
-
 def _cmd_analyze(args) -> int:
     x = read_wav(args.input)
-    save_features(_analyze_bundle(x, _tool_config(args, x.sample_rate)), args.output)
+    tool = _tool_config(args, x.sample_rate)
+    save_features(analyze_bundle(x, tool.analysis, tool.spectral), args.output)
     return 0
 
 
@@ -140,7 +129,7 @@ def _cmd_synth(args) -> int:
 def _cmd_resynth(args) -> int:
     x = read_wav(args.input)
     tool = _tool_config(args, x.sample_rate)
-    bundle = _analyze_bundle(x, tool)
+    bundle = analyze_bundle(x, tool.analysis, tool.spectral)
     rendered = render_bundle(bundle, seed=tool.seed)
     y = Waveform(rendered.samples[: len(x)], x.sample_rate)
     clipped = write_wav(y, args.output, args.format)

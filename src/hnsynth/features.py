@@ -1,6 +1,6 @@
-"""On-disk feature formats: binary analysis bundles and text F0 contours.
+"""Feature bundles: built from audio, rendered back to audio, and stored on disk.
 
-Bundle container layout (all integers little-endian):
+Container layout (all integers little-endian):
 
     bytes 0..3    magic "HNSF"
     bytes 4..7    uint32 header length in bytes
@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AnalysisConfig
+from .analysis import AnalysisConfig, analyze
 from .errors import FormatError
 from .ioutil import atomic_write
 from .spectral import SpectralConfig
-from .synth import dsp_combine, harmonic_synthesize, noise_synthesize
+from .synth import harmonic_synthesize, noise_synthesize
 from .types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
 MAGIC = b"HNSF"
@@ -45,8 +45,11 @@ class FeatureBundle:
     analysis: AnalysisConfig
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        # the rendered audio is written as WAV, whose header holds a uint32 rate
+        if not 0 < self.sample_rate < 2**32:
+            raise ValueError(f"sample_rate must lie in 1..2**32-1, got {self.sample_rate}")
+        if self.f0.values.max(initial=0.0) >= self.sample_rate / 2:
+            raise ValueError(f"f0 reaches Nyquist ({self.sample_rate / 2} Hz)")
         frames = self.f0.frames
         if self.harmonics.frames != frames or self.noise.frames != frames:
             raise ValueError(
@@ -76,13 +79,19 @@ class FeatureBundle:
         return self.spectral.hop_size
 
 
+def analyze_bundle(x: Waveform, analysis: AnalysisConfig, spectral: SpectralConfig) -> FeatureBundle:
+    """Analyze a waveform into the bundle of its features and configs."""
+    f0, harmonics, noise = analyze(x, analysis, spectral)
+    return FeatureBundle(f0, harmonics, noise, x.sample_rate, spectral, analysis)
+
+
 def render_bundle(bundle: FeatureBundle, seed: int = 0) -> Waveform:
     """Synthesize the harmonic and noise branches of a bundle and sum them."""
     harmonic = harmonic_synthesize(bundle.f0, bundle.harmonics, bundle.sample_rate)
     noise = noise_synthesize(
         bundle.noise, bundle.spectral, seed, bundle.sample_rate, out_len=len(harmonic)
     )
-    return dsp_combine(harmonic, noise)
+    return Waveform(harmonic.samples + noise.samples, bundle.sample_rate)
 
 
 def _payload(arr: np.ndarray) -> bytes:
@@ -112,6 +121,21 @@ def save_features(bundle: FeatureBundle, path) -> None:
         fh.write(_payload(bundle.noise.values))
 
 
+def _header_int(value, name: str, path) -> int:
+    """A header integer: JSON floats and bools are refused, not truncated."""
+    if type(value) is not int:
+        raise FormatError(f"{path}: {name} must be an integer, got {value!r}")
+    return value
+
+
+def _header_config(cls, fields: dict, section: str, path):
+    """The config of one header section, with every integer field checked as one."""
+    for f in dataclasses.fields(cls):
+        if f.type == "int" and f.name in fields:
+            _header_int(fields[f.name], f"{section}.{f.name}", path)
+    return cls(**fields)
+
+
 def load_features(path) -> FeatureBundle:
     """Read a container written by save_features.
 
@@ -135,22 +159,21 @@ def load_features(path) -> FeatureBundle:
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
     version = header.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise FormatError(
             f"{path}: unsupported feature file version {version!r}, "
             f"this reader handles {FORMAT_VERSION}"
         )
     try:
-        frames = int(header["frames"])
-        k_max = int(header["k_max"])
-        n_bins = int(header["n_bins"])
-        sample_rate = int(header["sample_rate"])
+        frames, k_max, n_bins, sample_rate = (
+            _header_int(header[key], key, path) for key in ("frames", "k_max", "n_bins", "sample_rate")
+        )
         spectral_fields = {**header["spectral"]}
         # bundles written while framing could be uncentered carry "center": true
         if spectral_fields.pop("center", True) is not True:
             raise FormatError(f"{path}: uncentered framing (spectral.center) is not supported")
-        spectral = SpectralConfig(**spectral_fields)
-        analysis = AnalysisConfig(**header["analysis"])
+        spectral = _header_config(SpectralConfig, spectral_fields, "spectral", path)
+        analysis = _header_config(AnalysisConfig, {**header["analysis"]}, "analysis", path)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: incomplete header: {exc}") from exc
     except (ValueError, OverflowError) as exc:
@@ -177,48 +200,3 @@ def load_features(path) -> FeatureBundle:
         )
     except ValueError as exc:
         raise FormatError(f"{path}: invalid feature values: {exc}") from exc
-
-
-def save_f0(f0: F0Contour, sample_rate: int, path) -> None:
-    """Write a contour in the text interchange format (one Hz value per line)."""
-    lines = [f"# hop={f0.hop_size} sr={int(sample_rate)}\n"]
-    # 17 significant digits round trips any float64 exactly
-    lines += [f"{v:.17g}\n" for v in f0.values]
-    with atomic_write(path, "w") as fh:
-        fh.writelines(lines)
-
-
-def load_f0(path) -> tuple[F0Contour, int]:
-    """Read the text F0 format; returns the contour and its sample rate.
-
-    Line 1 must be `# hop=<samples> sr=<hz>`; each further line is one frame's
-    F0 in Hz, with 0 marking unvoiced frames.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        fields = first.split()
-        if (
-            len(fields) != 3
-            or fields[0] != "#"
-            or not fields[1].startswith("hop=")
-            or not fields[2].startswith("sr=")
-        ):
-            raise FormatError("expected header '# hop=<samples> sr=<hz>'", line=1)
-        try:
-            hop = int(fields[1][4:])
-            sample_rate = int(fields[2][3:])
-        except ValueError as exc:
-            raise FormatError(f"bad header numbers: {exc}", line=1) from exc
-        values = []
-        for lineno, text in enumerate(fh, start=2):
-            text = text.strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError as exc:
-                raise FormatError(f"bad F0 value {text!r}", line=lineno) from exc
-            if not np.isfinite(value) or value < 0:
-                raise FormatError(f"F0 must be finite and >= 0, got {value}", line=lineno)
-            values.append(value)
-    return F0Contour.from_values(np.asarray(values), hop), sample_rate

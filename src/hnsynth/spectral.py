@@ -89,10 +89,6 @@ class SpectralConfig:
             sps.check_COLA(_window(self.window, self.win_size), self.win_size, self.win_size - self.hop_size)
         )
 
-    def n_frames(self, n_samples: int) -> int:
-        """Frame count for a signal of the given length under this config."""
-        return frame_count(n_samples, self.hop_size)
-
 
 def default_spectral(sample_rate: int) -> SpectralConfig:
     """Per-rate defaults: 2048/512 at 44.1 kHz-class rates, 1024/256 below 32 kHz."""
@@ -113,7 +109,7 @@ def multi_resolution_configs(fft_sizes=MRS_FFT_SIZES) -> list[SpectralConfig]:
 def _frame_signal(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     """Frames x fft_size view of the zero-padded signal; frame m starts at m*hop - pad_left."""
     fft, hop = cfg.fft_size, cfg.hop_size
-    n_frames = cfg.n_frames(len(x))
+    n_frames = frame_count(len(x), hop)
     end = (n_frames - 1) * hop + fft
     pad_right = max(0, end - (cfg.pad_left + len(x)))
     xp = np.pad(x, (cfg.pad_left, pad_right))

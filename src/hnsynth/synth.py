@@ -248,14 +248,3 @@ def noise_synthesize(
     phases = rng.uniform(-np.pi, np.pi, size=noise.values.shape)
     spec = noise.values * np.exp(1j * phases)
     return Waveform(istft(spec, spectral, out_len), sample_rate)
-
-
-def dsp_combine(harmonic: Waveform, noise: Waveform) -> Waveform:
-    """Elementwise sum of the periodic and aperiodic components."""
-    if len(harmonic) != len(noise):
-        raise ValueError(f"length mismatch: {len(harmonic)} vs {len(noise)}")
-    if harmonic.sample_rate != noise.sample_rate:
-        raise ValueError(
-            f"sample rate mismatch: {harmonic.sample_rate} vs {noise.sample_rate}"
-        )
-    return Waveform(harmonic.samples + noise.samples, harmonic.sample_rate)

@@ -41,11 +41,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return len(self) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class F0Contour:

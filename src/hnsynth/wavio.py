@@ -33,11 +33,17 @@ def read_wav(path) -> Waveform:
         warnings.simplefilter("ignore", wavfile.WavFileWarning)
         try:
             rate, data = wavfile.read(path)
+        except OSError:
+            raise
         except ValueError as exc:
             message = str(exc)
             if "Unknown wave file format" in message or "Unsupported bit depth" in message:
                 raise UnsupportedAudioError(f"{path}: {message}") from exc
             raise FormatError(f"{path}: {message}") from exc
+        except Exception as exc:
+            # wavfile.read lets a broken header surface as whatever its parse
+            # trips over (ZeroDivisionError, struct.error, UnboundLocalError)
+            raise FormatError(f"{path}: malformed WAV header: {exc!r}") from exc
 
     if data.ndim == 2:
         warnings.warn(f"{path}: averaging {data.shape[1]} channels to mono")
@@ -71,6 +77,9 @@ def write_wav(x: Waveform, path, format: str = "float32") -> int:
         data = np.clip(np.rint(samples * _PCM16_SCALE), -32768, 32767).astype(np.int16)
     else:
         data = samples.astype(np.float32)
+    # the header stores rate * bytes per sample as a uint32 byte rate
+    if x.sample_rate * data.itemsize >= 2**32:
+        raise ValueError(f"a {format} WAV header cannot hold a rate of {x.sample_rate} Hz")
     with atomic_write(path) as fh:
         wavfile.write(fh, x.sample_rate, data)
     return clipped

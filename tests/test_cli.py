@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from hnsynth.cli import cli_main
 from hnsynth.config import build_tool_config
@@ -123,6 +125,41 @@ def test_malformed_input_exits_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _pcm16_wav_bytes(tmp_path, seconds=1.0) -> bytes:
+    """A valid PCM16 mono WAV at 8 kHz with scipy's 44-byte header."""
+    path = tmp_path / "good.wav"
+    write_wav(harmonic_tone(220.0, 8000, seconds, [0.5, 0.2]), path, "pcm16")
+    return path.read_bytes()
+
+
+def _put(offset, fmt, value):
+    def edit(raw):
+        out = bytearray(raw)
+        struct.pack_into(fmt, out, offset, value)
+        return bytes(out)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_put(22, "<H", 0), id="zero-channels"),
+        pytest.param(_put(22, "<H", 3), id="three-channels"),
+        pytest.param(_put(16, "<I", 0xFFFFFFF0), id="huge-fmt-chunk"),
+        pytest.param(lambda raw: raw[:30], id="cut-to-30-bytes"),
+    ],
+)
+def test_malformed_wav_header_exits_4(tmp_path, capsys, edit):
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(edit(_pcm16_wav_bytes(tmp_path)))
+    out = tmp_path / "o.hnsf"
+    assert cli_main(["analyze", str(bad), "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("hnsynth: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bad_config_value_exits_5(tmp_path, tone_wav, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("hop_size = 0\n")
@@ -145,8 +182,11 @@ def test_truncated_bundle_exits_4(tmp_path, tone_wav, capsys):
     capsys.readouterr()
 
 
-def _nan_first_f0(header, payload):
-    return header, struct.pack("<f", np.nan) + payload[4:]
+def _first_f0(value):
+    def edit(header, payload):
+        return header, struct.pack("<f", value) + payload[4:]
+
+    return edit
 
 
 def _set_field(section, key, value):
@@ -165,18 +205,8 @@ def _set_header(key, value):
     return edit
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        pytest.param(_set_header("frames", 0), id="zero-frames"),
-        pytest.param(_set_header("frames", -3), id="negative-frames"),
-        pytest.param(_set_field("analysis", "f0_min", 900.0), id="f0-min-above-f0-max"),
-        pytest.param(_set_field("spectral", "center", False), id="uncentered"),
-        pytest.param(_nan_first_f0, id="nan-in-f0-payload"),
-        pytest.param(lambda header, payload: ([], payload), id="header-not-an-object"),
-    ],
-)
-def test_malformed_bundle_exits_4(tmp_path, capsys, edit):
+def _bundle_bytes(tmp_path) -> bytes:
+    """A valid 6-frame, 3-harmonic bundle at the tool defaults for SR."""
     tool = build_tool_config(SR)
     frames = 6
     good = tmp_path / "good.hnsf"
@@ -191,12 +221,38 @@ def test_malformed_bundle_exits_4(tmp_path, capsys, edit):
         ),
         good,
     )
-    raw = good.read_bytes()
+    return good.read_bytes()
+
+
+def _edit_bundle(raw: bytes, edit) -> bytes:
+    """The bundle with its header and payload passed through edit(header, payload)."""
     (header_len,) = struct.unpack("<I", raw[4:8])
     header, payload = edit(json.loads(raw[8 : 8 + header_len]), raw[8 + header_len :])
     blob = json.dumps(header).encode()
+    return MAGIC + struct.pack("<I", len(blob)) + blob + payload
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_set_header("frames", 0), id="zero-frames"),
+        pytest.param(_set_header("frames", -3), id="negative-frames"),
+        pytest.param(_set_field("analysis", "f0_min", 900.0), id="f0-min-above-f0-max"),
+        pytest.param(_set_field("spectral", "center", False), id="uncentered"),
+        pytest.param(_first_f0(np.nan), id="nan-in-f0-payload"),
+        pytest.param(lambda header, payload: ([], payload), id="header-not-an-object"),
+        pytest.param(_set_field("spectral", "hop_size", 256.0), id="float-hop-size"),
+        pytest.param(_set_field("analysis", "k_max", True), id="bool-k-max"),
+        pytest.param(_set_header("sample_rate", 22050.9), id="float-sample-rate"),
+        pytest.param(_set_header("sample_rate", True), id="bool-sample-rate"),
+        pytest.param(_set_header("sample_rate", 2**32), id="sample-rate-beyond-wav"),
+        pytest.param(_set_header("version", True), id="bool-version"),
+        pytest.param(_first_f0(SR / 2), id="f0-at-nyquist"),
+    ],
+)
+def test_malformed_bundle_exits_4(tmp_path, capsys, edit):
     bad = tmp_path / "bad.hnsf"
-    bad.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+    bad.write_bytes(_edit_bundle(_bundle_bytes(tmp_path), edit))
     out = tmp_path / "y.wav"
     assert cli_main(["synth", str(bad), "-o", str(out)]) == 4
     err = capsys.readouterr().err
@@ -220,3 +276,88 @@ def test_pcm16_output_format(tmp_path, tone_wav):
     raw = out.read_bytes()
     # PCM fmt tag is 1; IEEE float is 3
     assert raw[20:22] == b"\x01\x00"
+
+
+# ------------------------------------------------------------------- fuzz
+
+# the exit codes the CLI documents
+EXIT_CODES = (0, 2, 3, 4, 5)
+WAV_HEADER_LEN = 44
+# (offset, struct format) of every field of the PCM WAV header
+WAV_FIELDS = [(4, "<I"), (16, "<I"), (20, "<H"), (22, "<H"), (24, "<I"), (28, "<I"), (32, "<H"), (34, "<H"), (40, "<I")]
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**64), 2**64),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 9), max_size=2),
+)
+FUZZ = settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _flip_bits(raw: bytes, bits) -> bytes:
+    out = bytearray(raw)
+    for bit in bits:
+        out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _damaged(raw: bytes, header_len: int):
+    """Truncations of raw, and up to four bit flips, each inside the header half the time."""
+    bit = st.one_of(st.integers(0, 8 * header_len - 1), st.integers(0, 8 * len(raw) - 1))
+    return st.one_of(
+        st.integers(0, len(raw) - 1).map(lambda n: raw[:n]),
+        st.lists(bit, min_size=1, max_size=4).map(lambda bits: _flip_bits(raw, bits)),
+    )
+
+
+@st.composite
+def _edited_header_field(draw, raw: bytes) -> bytes:
+    """raw with one header key, top-level or in a config section, set to any JSON value or deleted."""
+
+    def edit(header, payload):
+        section = draw(st.sampled_from([header, header["spectral"], header["analysis"]]))
+        key = draw(st.sampled_from(sorted(section)))
+        if draw(st.booleans()):
+            section[key] = draw(JSON_VALUES)
+        else:
+            del section[key]
+        return header, payload
+
+    return _edit_bundle(raw, edit)
+
+
+def _assert_cli_contract(argv, out) -> None:
+    out.unlink(missing_ok=True)
+    code = cli_main(argv)
+    assert code in EXIT_CODES
+    if code != 0:
+        assert not out.exists()
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_bundles_keep_the_exit_code_contract(tmp_path, data):
+    raw = _bundle_bytes(tmp_path)
+    (header_len,) = struct.unpack("<I", raw[4:8])
+    bad = tmp_path / "bad.hnsf"
+    bad.write_bytes(data.draw(st.one_of(_damaged(raw, 8 + header_len), _edited_header_field(raw))))
+    _assert_cli_contract(["synth", str(bad), "-o", str(tmp_path / "y.wav")], tmp_path / "y.wav")
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_wavs_keep_the_exit_code_contract(tmp_path, data):
+    raw = _pcm16_wav_bytes(tmp_path, seconds=0.25)
+    field = st.sampled_from(WAV_FIELDS).flatmap(
+        lambda f: st.integers(0, 2 ** (8 * struct.calcsize(f[1])) - 1).map(lambda v: _put(*f, v)(raw))
+    )
+    wav = data.draw(st.one_of(_damaged(raw, WAV_HEADER_LEN), field))
+    # analyze's f0 tracker allocates memory in proportion to the square of the
+    # sample rate, so a header that consistently claims a GHz rate would
+    # exhaust memory before it could fail; rates stay at audio rates here
+    assume(len(wav) < 28 or struct.unpack_from("<I", wav, 24)[0] <= 192_000)
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(wav)
+    _assert_cli_contract(["analyze", str(bad), "-o", str(tmp_path / "o.hnsf")], tmp_path / "o.hnsf")

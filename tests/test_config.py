@@ -1,9 +1,14 @@
 """Config file parsing, schema enforcement, and precedence."""
 
+from dataclasses import fields
+
 import pytest
 
+from hnsynth.analysis import AnalysisConfig
 from hnsynth.config import SCHEMA, build_tool_config, describe_schema, parse_config_file
 from hnsynth.errors import FormatError
+from hnsynth.losses import LossWeights
+from hnsynth.spectral import MRS_FFT_SIZES, MelConfig, SpectralConfig
 
 
 def write_cfg(tmp_path, text):
@@ -91,3 +96,19 @@ def test_schema_doc_covers_every_key():
     doc = describe_schema()
     for key in SCHEMA:
         assert key in doc
+
+
+def test_schema_keys_are_the_config_fields():
+    names = {f.name for cls in (SpectralConfig, MelConfig, AnalysisConfig, LossWeights) for f in fields(cls)}
+    assert set(SCHEMA) == (names - {"spectral"}) | {"mrs_fft_sizes", "seed"}
+
+
+@pytest.mark.parametrize("rate", [8000, 22050, 44100, 48000])
+def test_tool_defaults_are_the_dataclass_defaults(rate):
+    tool = build_tool_config(rate)
+    sizes = {key: getattr(tool.spectral, key) for key in ("fft_size", "hop_size", "win_size")}
+    assert tool.spectral == SpectralConfig(**sizes)
+    assert tool.mel == MelConfig(spectral=tool.spectral)
+    assert tool.analysis == AnalysisConfig(hop_size=tool.spectral.hop_size, refine_iters=2)
+    assert tool.weights == LossWeights()
+    assert (tool.mrs_fft_sizes, tool.seed) == (MRS_FFT_SIZES, 0)

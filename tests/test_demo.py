@@ -14,9 +14,9 @@ def test_resynth_demo_runs_on_generated_tone(tmp_path, capsys):
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
     demo.main(demo.parser.parse_args(["-o", str(tmp_path)]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.hnsf", "input.wav", "resynth.wav"]
     x = read_wav(tmp_path / "input.wav")
-    for name in ("harmonic", "noise", "resynth"):
-        assert read_wav(tmp_path / f"{name}.wav").sample_rate == x.sample_rate
-    assert len(read_wav(tmp_path / "resynth.wav")) == len(x)
+    y = read_wav(tmp_path / "resynth.wav")
+    assert (y.sample_rate, len(y)) == (x.sample_rate, len(x))
     assert load_features(tmp_path / "features.hnsf").f0.voiced.any()
     assert "mel L1" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Feature bundle container and F0 text format round trips and error paths."""
+"""Feature bundle container round trips and error paths."""
 
 import json
 import struct
@@ -8,16 +8,9 @@ import pytest
 
 from hnsynth.analysis import AnalysisConfig
 from hnsynth.errors import FormatError
-from hnsynth.features import (
-    MAGIC,
-    FeatureBundle,
-    load_f0,
-    load_features,
-    render_bundle,
-    save_f0,
-    save_features,
-)
+from hnsynth.features import MAGIC, FeatureBundle, load_features, render_bundle, save_features
 from hnsynth.spectral import SpectralConfig
+from hnsynth.synth import harmonic_synthesize, noise_synthesize
 from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum
 
 SPEC = SpectralConfig()
@@ -178,61 +171,11 @@ def test_render_bundle_is_deterministic(rng):
     assert len(y1) == b.frames * b.hop_size
 
 
-# ------------------------------------------------------------ F0 text
+def test_render_bundle_sums_the_two_branches(rng):
+    b = random_bundle(rng)
+    harmonic = harmonic_synthesize(b.f0, b.harmonics, b.sample_rate)
+    noise = noise_synthesize(b.noise, b.spectral, 4, b.sample_rate)
+    y = render_bundle(b, seed=4)
+    assert y.sample_rate == b.sample_rate
+    assert np.array_equal(y.samples, harmonic.samples + noise.samples)
 
-def test_f0_text_round_trip_is_exact(tmp_path, rng):
-    values = np.where(rng.random(50) > 0.4, rng.uniform(80, 700, 50), 0.0)
-    contour = F0Contour.from_values(values, 256)
-    path = tmp_path / "f0.txt"
-    save_f0(contour, 22050, path)
-    loaded, sr = load_f0(path)
-    assert sr == 22050
-    assert loaded.hop_size == 256
-    assert np.array_equal(loaded.values, contour.values)
-    assert np.array_equal(loaded.voiced, contour.voiced)
-
-
-def test_f0_text_header_line_matches_documented_format(tmp_path):
-    # format pinned for interop: external trackers write this by hand
-    path = tmp_path / "f0.txt"
-    save_f0(F0Contour.from_values(np.array([220.0]), 512), 44100, path)
-    assert path.read_text().splitlines()[0] == "# hop=512 sr=44100"
-
-
-def test_f0_text_all_zero_lines_is_all_unvoiced(tmp_path):
-    path = tmp_path / "f0.txt"
-    path.write_text("# hop=512 sr=22050\n0\n0\n0\n")
-    contour, _ = load_f0(path)
-    assert not contour.voiced.any()
-    assert contour.frames == 3
-
-
-def test_f0_text_hand_written_three_lines(tmp_path):
-    path = tmp_path / "f0.txt"
-    path.write_text("# hop=512 sr=22050\n220\n220\n0\n")
-    contour, _ = load_f0(path)
-    assert contour.values.tolist() == [220.0, 220.0, 0.0]
-    assert contour.voiced.tolist() == [True, True, False]
-
-
-def test_f0_text_bad_header_reports_line_one(tmp_path):
-    path = tmp_path / "f0.txt"
-    path.write_text("hop=512 sr=22050\n220\n")
-    with pytest.raises(FormatError) as err:
-        load_f0(path)
-    assert err.value.line == 1
-
-
-def test_f0_text_bad_value_reports_its_line(tmp_path):
-    path = tmp_path / "f0.txt"
-    path.write_text("# hop=512 sr=22050\n220\nnot-a-number\n")
-    with pytest.raises(FormatError) as err:
-        load_f0(path)
-    assert err.value.line == 3
-
-
-def test_f0_text_negative_value_rejected(tmp_path):
-    path = tmp_path / "f0.txt"
-    path.write_text("# hop=512 sr=22050\n-5\n")
-    with pytest.raises(FormatError):
-        load_f0(path)

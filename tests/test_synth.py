@@ -9,7 +9,6 @@ from hnsynth.analysis import estimate_initial_phases
 from hnsynth.spectral import SpectralConfig, stft
 from hnsynth.synth import (
     cumulative_phase,
-    dsp_combine,
     harmonic_synthesize,
     interpolate_to_samples,
     noise_synthesize,
@@ -367,19 +366,3 @@ def test_noise_bin_count_must_match_config():
     with pytest.raises(ValueError):
         noise_synthesize(NoiseMagnitudeSpectrum(np.zeros((4, 100))), cfg, 0, 22050)
 
-
-# ---------------------------------------------------------- combination
-
-def test_dsp_combine_adds_samplewise(rng):
-    a = Waveform(rng.standard_normal(500), 8000)
-    b = Waveform(rng.standard_normal(500), 8000)
-    y = dsp_combine(a, b)
-    assert np.array_equal(y.samples, a.samples + b.samples)
-
-
-def test_dsp_combine_rejects_mismatches(rng):
-    a = Waveform(rng.standard_normal(500), 8000)
-    with pytest.raises(ValueError):
-        dsp_combine(a, Waveform(rng.standard_normal(400), 8000))
-    with pytest.raises(ValueError):
-        dsp_combine(a, Waveform(rng.standard_normal(500), 16000))

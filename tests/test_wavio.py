@@ -105,6 +105,15 @@ def test_unknown_write_format_rejected(tmp_path):
         write_wav(Waveform(np.zeros(10), 8000), tmp_path / "x.wav", "pcm24")
 
 
+@pytest.mark.parametrize("fmt, rate", [("float32", 2**30), ("pcm16", 2**31)])
+def test_rate_beyond_the_header_byte_rate_rejected(tmp_path, fmt, rate):
+    with pytest.raises(ValueError):
+        write_wav(Waveform(np.zeros(10), rate), tmp_path / "x.wav", fmt)
+    assert list(tmp_path.iterdir()) == []
+    write_wav(Waveform(np.zeros(10), rate - 1), tmp_path / "x.wav", fmt)
+    assert read_wav(tmp_path / "x.wav").sample_rate == rate - 1
+
+
 def test_failed_write_leaves_no_partial_file(tmp_path, rng):
     x = Waveform(rng.uniform(-1, 1, 100), 8000)
     target = tmp_path / "nodir" / "x.wav"
