@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import SpectralConfig, frame_anchor, frame_count, stft
+from .spectral import SpectralConfig, frame_anchor, frame_count, frame_view, stft
 from .synth import _phasor_blocks, harmonic_synthesize
 from .types import F0Contour, HarmonicAmplitudes, InitialPhases, NoiseMagnitudeSpectrum, Waveform
 
 _TINY = 1e-12
+
+# Largest change the phase-drift pass may make to a lag-domain f0 estimate.
+_MAX_CORRECTION_HZ = 3.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ class AnalysisConfig:
             raise ValueError("median_width must be a positive odd count")
 
 
-def _nccf_frames(x: np.ndarray, centers: np.ndarray, wlen: int, max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nccf_frames(x: np.ndarray, hop: int, wlen: int, max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalized cross-correlation per frame for lags 0..max_lag.
 
     Each frame correlates a wlen-sample base segment, centered on the frame
@@ -72,12 +76,7 @@ def _nccf_frames(x: np.ndarray, centers: np.ndarray, wlen: int, max_lag: int) ->
     base_energy, lag_energy) with nccf shape (frames, max_lag+1).
     """
     span = wlen + max_lag
-    half = span // 2
-    xp = np.pad(x, (half, span))
-    # original sample c - half maps to padded index c, so frame m's segment
-    # starts at padded index centers[m]; centers step by hop, so this is a view
-    hop = centers[1] - centers[0] if len(centers) > 1 else 1
-    segs = np.lib.stride_tricks.sliding_window_view(xp, span)[centers[0] :: hop][: len(centers)]
+    segs = frame_view(x, hop, span // 2, span)
 
     n_fft = 1 << (span - 1).bit_length()
     base = segs[:, :wlen]
@@ -85,7 +84,7 @@ def _nccf_frames(x: np.ndarray, centers: np.ndarray, wlen: int, max_lag: int) ->
     spec_seg = np.fft.rfft(segs, n=n_fft, axis=1)
     corr = np.fft.irfft(np.conj(spec_base) * spec_seg, n=n_fft, axis=1)[:, : max_lag + 1]
 
-    sq = np.concatenate([np.zeros((len(centers), 1)), np.cumsum(segs * segs, axis=1)], axis=1)
+    sq = np.concatenate([np.zeros((len(segs), 1)), np.cumsum(segs * segs, axis=1)], axis=1)
     lag_energy = sq[:, wlen : wlen + max_lag + 1] - sq[:, : max_lag + 1]
     base_energy = lag_energy[:, 0]
     denom = np.sqrt(np.maximum(base_energy[:, None] * lag_energy, _TINY))
@@ -151,9 +150,7 @@ def _pick_peak(r: np.ndarray, min_lag: int, threshold: float) -> tuple[float, fl
     return min_lag + _lobe_vertex(seg, i), float(seg[i])
 
 
-def _smooth_voiced(
-    values: np.ndarray, voiced: np.ndarray, width: int, reducer=np.median
-) -> np.ndarray:
+def _smooth_voiced(values: np.ndarray, voiced: np.ndarray, width: int, reducer) -> np.ndarray:
     """Apply reducer over the voiced entries of each centered window."""
     half = width // 2
     out = values.copy()
@@ -180,8 +177,7 @@ def estimate_f0(x: Waveform, cfg: AnalysisConfig) -> F0Contour:
     # Correlating over two full periods of the lowest trackable pitch keeps
     # the refined lag stable under heavy additive noise.
     wlen = 2 * max_lag
-    centers = frame_anchor(np.arange(n_frames), hop)
-    nccf, base_energy, _ = _nccf_frames(x.samples, centers, wlen, max_lag)
+    nccf, base_energy, _ = _nccf_frames(x.samples, hop, wlen, max_lag)
 
     energy_floor = wlen * cfg.silence_rms**2
     values = np.zeros(n_frames)
@@ -202,20 +198,12 @@ def estimate_f0(x: Waveform, cfg: AnalysisConfig) -> F0Contour:
     # cut frame-to-frame jitter that would read back as FM in resynthesis.
     values = _smooth_voiced(values, voiced, cfg.median_width, np.median)
     values = _smooth_voiced(values, voiced, cfg.median_width, np.mean)
-    values = _phase_refine(x.samples, values, voiced, centers, sr, hop)
+    values = _phase_refine(x.samples, values, voiced, sr, hop)
     values[~voiced] = 0.0
-    return F0Contour(hop_size=hop, values=values, voiced=voiced)
+    return F0Contour(hop_size=hop, values=values)
 
 
-def _phase_refine(
-    x: np.ndarray,
-    values: np.ndarray,
-    voiced: np.ndarray,
-    centers: np.ndarray,
-    sr: int,
-    hop: int,
-    max_correction: float = 3.0,
-) -> np.ndarray:
+def _phase_refine(x: np.ndarray, values: np.ndarray, voiced: np.ndarray, sr: int, hop: int) -> np.ndarray:
     """Sharpen voiced estimates from the phase drift of the demodulated fundamental.
 
     Demodulating x at the coarse estimate f and summing two adjacent 2*hop
@@ -230,7 +218,8 @@ def _phase_refine(
     # harmonics that would otherwise bias the phase step.
     taper = np.hanning(half + 1)[:-1]
     for m in np.flatnonzero(voiced):
-        lo, hi = centers[m] - half, centers[m] + half
+        center = frame_anchor(m, hop)
+        lo, hi = center - half, center + half
         if lo < 0 or hi > len(x):
             continue  # edge frames keep the lag-domain estimate
         f_hat = values[m]
@@ -242,27 +231,8 @@ def _phase_refine(
             continue
         step = float(np.angle(c2 * np.conj(c1)))
         correction = step * sr / (2 * np.pi * half)
-        values[m] = f_hat + float(np.clip(correction, -max_correction, max_correction))
+        values[m] = f_hat + float(np.clip(correction, -_MAX_CORRECTION_HZ, _MAX_CORRECTION_HZ))
     return values
-
-
-def _peak_measure(db: np.ndarray, bins: np.ndarray, halfwidth: int) -> np.ndarray:
-    """Parabolically interpolated peak magnitude (linear units) near each bin.
-
-    db is one frame of 20*log10 magnitudes; bins are the integer starting
-    guesses. Searches +-halfwidth bins for the local maximum first.
-    """
-    n_bins = db.shape[0]
-    offs = np.arange(-halfwidth, halfwidth + 1)
-    window = np.clip(bins[:, None] + offs[None, :], 1, n_bins - 2)
-    local = db[window]
-    peak = window[np.arange(len(bins)), np.argmax(local, axis=1)]
-    alpha, beta, gamma = db[peak - 1], db[peak], db[peak + 1]
-    denom = alpha - 2 * beta + gamma
-    delta = np.where(denom < -_TINY, 0.5 * (alpha - gamma) / np.where(denom < -_TINY, denom, -1.0), 0.0)
-    delta = np.clip(delta, -0.5, 0.5)
-    peak_db = beta - 0.25 * (alpha - gamma) * delta
-    return 10.0 ** (peak_db / 20.0)
 
 
 def estimate_harmonics(
@@ -286,14 +256,15 @@ def estimate_harmonics(
         raise ValueError(
             f"frame count mismatch: contour has {f0.frames}, STFT has {mag.shape[0]}"
         )
-    target = _harmonics_from_magnitude(mag, f0, cfg, spectral, x.sample_rate, len(x))
+    pairs = _peak_pairs(f0, cfg, spectral, x.sample_rate, len(x))
+    target = _harmonics_from_magnitude(mag, pairs)
     values = target
 
     for _ in range(cfg.refine_iters):
         resynth = harmonic_synthesize(f0, HarmonicAmplitudes(values), x.sample_rate)
         resynth_wave = Waveform(resynth.samples[: len(x)], x.sample_rate)
         resynth_mag = np.abs(stft(resynth_wave, spectral))
-        measured = _harmonics_from_magnitude(resynth_mag, f0, cfg, spectral, x.sample_rate, len(x))
+        measured = _harmonics_from_magnitude(resynth_mag, pairs)
         ratio = np.where(measured > _TINY, target / np.maximum(measured, _TINY), 1.0)
         values = values * np.clip(ratio, 0.25, 4.0)
 
@@ -316,33 +287,55 @@ def _frame_gains(spectral: SpectralConfig, n_frames: int, n_samples: int) -> np.
     """
     w = spectral.window_array()
     csum = np.concatenate([[0.0], np.cumsum(w)])
-    starts = np.arange(n_frames) * spectral.hop_size - spectral.pad_left
+    starts = frame_anchor(np.arange(n_frames), spectral.hop_size) - spectral.fft_size // 2
     lo = np.clip(-starts, 0, spectral.fft_size)
     hi = np.clip(n_samples - starts, 0, spectral.fft_size)
     return np.maximum(csum[hi] - csum[lo], _TINY) / 2.0
 
 
-def _harmonics_from_magnitude(
-    mag: np.ndarray,
-    f0: F0Contour,
-    cfg: AnalysisConfig,
-    spectral: SpectralConfig,
-    sample_rate: int,
-    n_samples: int,
-) -> np.ndarray:
-    nyquist = sample_rate / 2.0
-    bin_hz = sample_rate / spectral.fft_size
-    gains = _frame_gains(spectral, mag.shape[0], n_samples)
+class _PeakPairs(NamedTuple):
+    """The (frame, harmonic) pairs of a contour whose peaks are read off an STFT.
+
+    They depend on the contour alone, so one build serves every read of one
+    estimate_harmonics call.
+    """
+
+    shape: tuple[int, int]  # (frames, k_max) of the amplitude matrix
+    cells: tuple[np.ndarray, np.ndarray]  # frame and column k - 1 of each pair
+    window: np.ndarray  # (pairs, 2*halfwidth + 1) bins searched for each peak
+    gain: np.ndarray  # coherent gain of each pair's frame
+
+
+def _peak_pairs(
+    f0: F0Contour, cfg: AnalysisConfig, spectral: SpectralConfig, sample_rate: int, n_samples: int
+) -> _PeakPairs:
+    """Every harmonic of a voiced frame below Nyquist, with its bins and its frame's gain."""
+    freqs = f0.values[:, None] * np.arange(1, cfg.k_max + 1)
+    cells = np.nonzero(f0.voiced[:, None] & (freqs < sample_rate / 2.0))
+    bins = np.rint(freqs[cells] / (sample_rate / spectral.fft_size)).astype(int)
+    offs = np.arange(-cfg.peak_halfwidth_bins, cfg.peak_halfwidth_bins + 1)
+    window = np.clip(bins[:, None] + offs, 1, spectral.n_bins - 2)
+    gains = _frame_gains(spectral, f0.frames, n_samples)
+    return _PeakPairs((f0.frames, cfg.k_max), cells, window, gains[cells[0]])
+
+
+def _harmonics_from_magnitude(mag: np.ndarray, pairs: _PeakPairs) -> np.ndarray:
+    """(frames, k_max) amplitudes read off a magnitude STFT at the pairs, 0 elsewhere.
+
+    Each pair takes the largest 20*log10 magnitude in its search window,
+    interpolates the peak with a parabola through the two neighbouring bins,
+    and divides it by the frame's gain.
+    """
     db = 20.0 * np.log10(mag + _TINY)
-    values = np.zeros((f0.frames, cfg.k_max))
-    ks = np.arange(1, cfg.k_max + 1)
-    for m in np.flatnonzero(f0.voiced):
-        freqs = ks * f0.values[m]
-        keep = freqs < nyquist
-        if not keep.any():
-            continue
-        bins = np.rint(freqs[keep] / bin_hz).astype(int)
-        values[m, keep] = _peak_measure(db[m], bins, cfg.peak_halfwidth_bins) / gains[m]
+    frames = pairs.cells[0]
+    peak = pairs.window[np.arange(frames.size), np.argmax(db[frames[:, None], pairs.window], axis=1)]
+    alpha, beta, gamma = db[frames, peak - 1], db[frames, peak], db[frames, peak + 1]
+    denom = alpha - 2 * beta + gamma
+    delta = np.where(denom < -_TINY, 0.5 * (alpha - gamma) / np.where(denom < -_TINY, denom, -1.0), 0.0)
+    delta = np.clip(delta, -0.5, 0.5)
+    peak_db = beta - 0.25 * (alpha - gamma) * delta
+    values = np.zeros(pairs.shape)
+    values[pairs.cells] = 10.0 ** (peak_db / 20.0) / pairs.gain
     return values
 
 

@@ -88,9 +88,7 @@ def analyze_bundle(x: Waveform, analysis: AnalysisConfig, spectral: SpectralConf
 def render_bundle(bundle: FeatureBundle, seed: int = 0) -> Waveform:
     """Synthesize the harmonic and noise branches of a bundle and sum them."""
     harmonic = harmonic_synthesize(bundle.f0, bundle.harmonics, bundle.sample_rate)
-    noise = noise_synthesize(
-        bundle.noise, bundle.spectral, seed, bundle.sample_rate, out_len=len(harmonic)
-    )
+    noise = noise_synthesize(bundle.noise, bundle.spectral, seed, bundle.sample_rate)
     return Waveform(harmonic.samples + noise.samples, bundle.sample_rate)
 
 

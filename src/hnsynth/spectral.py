@@ -3,9 +3,11 @@
 This module owns the frame grid of the whole package. Frame m describes the
 neighborhood of sample frame_anchor(m, hop) = m*hop + hop//2, the same anchor
 used when frame-level features are interpolated to sample rate, and a signal
-of length L yields frame_count(L, hop) = ceil(L/hop) frames. The F0 tracker,
-the STFT and the synthesizer all take their grid from these two functions, so
-framed features and STFTs of the same signal always line up.
+of length L yields frame_count(L, hop) = ceil(L/hop) frames. frame_view cuts
+a signal into one window per frame of that grid, placed by its offset from
+the anchor. The F0 tracker, the STFT and the synthesizer all take their grid
+from these functions, so framed features and STFTs of the same signal always
+line up.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 
 from .types import Waveform
@@ -42,6 +44,20 @@ def frame_anchor(m, hop_size: int):
 def frame_count(n_samples: int, hop_size: int) -> int:
     """Frames covering n_samples samples: ceil(n_samples / hop_size), at least 1."""
     return max(1, math.ceil(n_samples / hop_size))
+
+
+def frame_view(x: np.ndarray, hop_size: int, lead: int, length: int) -> np.ndarray:
+    """Read-only (frame_count(len(x), hop_size), length) view of x, zero-extended.
+
+    Row m holds samples frame_anchor(m) - lead .. frame_anchor(m) - lead + length - 1,
+    with zeros wherever that reaches past either end of x.
+    """
+    n_frames = frame_count(len(x), hop_size)
+    first = frame_anchor(0, hop_size) - lead  # first sample of row 0
+    before = max(0, -first)
+    after = max(0, frame_anchor(n_frames - 1, hop_size) - lead + length - len(x))
+    xp = np.pad(x, (before, after))
+    return sliding_window_view(xp, length)[first + before :: hop_size][:n_frames]
 
 
 @dataclass(frozen=True)
@@ -106,22 +122,11 @@ def multi_resolution_configs(fft_sizes=MRS_FFT_SIZES) -> list[SpectralConfig]:
     return [SpectralConfig(fft_size=n, hop_size=n // 4, win_size=n) for n in fft_sizes]
 
 
-def _frame_signal(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
-    """Frames x fft_size view of the zero-padded signal; frame m starts at m*hop - pad_left."""
-    fft, hop = cfg.fft_size, cfg.hop_size
-    n_frames = frame_count(len(x), hop)
-    end = (n_frames - 1) * hop + fft
-    pad_right = max(0, end - (cfg.pad_left + len(x)))
-    xp = np.pad(x, (cfg.pad_left, pad_right))
-    stride = xp.strides[0]
-    return as_strided(xp, shape=(n_frames, fft), strides=(hop * stride, stride))
-
-
 def stft(x: Waveform, cfg: SpectralConfig) -> np.ndarray:
     """Complex spectrogram, shape (frames, fft_size//2 + 1)."""
     if len(x) == 0:
         raise ValueError("cannot take the STFT of an empty signal")
-    frames = _frame_signal(x.samples, cfg)
+    frames = frame_view(x.samples, cfg.hop_size, cfg.fft_size // 2, cfg.fft_size)
     return np.fft.rfft(frames * cfg.window_array(), n=cfg.fft_size, axis=1)
 
 

@@ -10,7 +10,9 @@ out as frames + 1 rows of hop samples whose boundaries fall on the frame
 anchors (spectral.frame_anchor), so row r holds the linear ramp from frame
 r-1 to frame r (row 0 is the constant lead-in, the last row the constant tail).
 One row index and one in-row offset then serve f0 and every amplitude column
-alike, with the arithmetic of np.interp over the anchors.
+alike, with the arithmetic of np.interp over the anchors. f0(n) is laid out
+once for the whole signal, as psi, its running sum, is whole-length anyway;
+the amplitude columns are laid out block by block.
 
 The bank walks the grid in blocks of a few dozen rows. Within a block it takes
 z = e^{i psi(n)} once and steps the harmonics by the phasor recurrence
@@ -21,8 +23,8 @@ Nyquist / (block's min voiced f0) are silent and end the block's walk, and
 only those at or above Nyquist / (block's max f0) pay for the per-sample mask.
 A global cap cannot replace this, because interpolation ramps f0 to zero
 across half a hop into unvoiced frames, so every harmonic is live somewhere
-near every gap. Zero amplitude columns are skipped block by block, and
-temporaries stay bounded by the block size.
+near every gap. Zero amplitude columns are skipped block by block, and the
+per-harmonic temporaries stay bounded by the block size.
 
 The noise branch inverts a magnitude spectrogram with uniformly random phase.
 Both branches are pure functions; the noise branch is pure given its seed.
@@ -82,8 +84,8 @@ def interpolate_to_samples(frame_values, hop_size: int, out_len: int) -> np.ndar
     return rows.reshape(-1)[lead : lead + out_len]
 
 
-def cumulative_phase(f, sample_rate: int, phi0: float = 0.0) -> np.ndarray:
-    """Unwrapped phase 2*pi * cumsum(f)/Sr + phi0, accumulated in extended precision.
+def cumulative_phase(f, sample_rate: int) -> np.ndarray:
+    """Unwrapped phase 2*pi * cumsum(f)/Sr, accumulated in extended precision.
 
     The sum is inclusive: the phase at sample n covers frequency samples 0..n.
     """
@@ -99,7 +101,6 @@ def cumulative_phase(f, sample_rate: int, phi0: float = 0.0) -> np.ndarray:
     np.cumsum(phase, out=phase)
     phase /= sample_rate
     phase *= 2 * np.pi
-    phase += np.longdouble(phi0)
     return phase.astype(np.float64)
 
 
@@ -130,10 +131,8 @@ def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
     """
     hop = f0.hop_size
     nyquist = sample_rate / 2.0
-    psi = cumulative_phase(interpolate_to_samples(f0.values, hop, n), sample_rate)
-    # f0(n) is rebuilt block by block rather than kept for the whole signal
-    start, slope = _segment_grid(f0.values, hop)
-    offsets = np.arange(hop, dtype=np.float64)
+    f0n = interpolate_to_samples(f0.values, hop, n)
+    psi = cumulative_phase(f0n, sample_rate)
     total_rows = f0.frames + 1
     for r0 in range(0, total_rows, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, total_rows)
@@ -141,8 +140,7 @@ def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
         lo, hi = max(first, 0), min(frame_anchor(r1 - 1, hop), n)
         if lo >= hi:
             break
-        skip = lo - first
-        f = _segment_rows(start[r0:r1], slope[r0:r1], offsets).reshape(-1)[skip : skip + hi - lo]
+        f = f0n[lo:hi]
         voiced = f > 0
         if not voiced.any():
             continue
@@ -153,7 +151,7 @@ def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
             lo=lo,
             hi=hi,
             rows=slice(r0, r1),
-            skip=skip,
+            skip=lo - first,
             z=z,
             f0=f,
             unvoiced=None if voiced.all() else ~voiced,
@@ -230,21 +228,18 @@ def noise_synthesize(
     spectral: SpectralConfig,
     seed: int,
     sample_rate: int,
-    out_len: int | None = None,
 ) -> Waveform:
     """Inverse-STFT of the magnitude matrix under i.i.d. uniform random phase.
 
     The phase matrix is drawn from a generator seeded with `seed`, so identical
-    (noise, spectral, seed) inputs produce bit-identical output. Default length
+    (noise, spectral, seed) inputs produce bit-identical output. Output length
     is frames * hop_size, matching the harmonic branch for the same framing.
     """
     if noise.bins != spectral.n_bins:
         raise ValueError(
             f"noise spectrum has {noise.bins} bins but config expects {spectral.n_bins}"
         )
-    if out_len is None:
-        out_len = noise.frames * spectral.hop_size
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-np.pi, np.pi, size=noise.values.shape)
     spec = noise.values * np.exp(1j * phases)
-    return Waveform(istft(spec, spectral, out_len), sample_rate)
+    return Waveform(istft(spec, spectral, noise.frames * spectral.hop_size), sample_rate)

@@ -1,6 +1,6 @@
 """Core domain types: waveforms and the frame-level features that drive synthesis.
 
-All array fields are normalized to contiguous float64 (or bool) numpy arrays at
+All array fields are normalized to contiguous float64 numpy arrays at
 construction time, and the dataclasses validate their invariants eagerly so the
 synthesis and analysis code can assume well-formed inputs.
 """
@@ -44,36 +44,29 @@ class Waveform:
 
 @dataclass(frozen=True)
 class F0Contour:
-    """Frame-level fundamental frequency in Hz; 0 encodes an unvoiced frame.
-
-    The voicing flags are redundant with the zero encoding (values[i] == 0
-    exactly when voiced[i] is False) and that equivalence is enforced here.
-    """
+    """Frame-level fundamental frequency in Hz; 0 encodes an unvoiced frame."""
 
     hop_size: int
     values: np.ndarray
-    voiced: np.ndarray
 
     def __post_init__(self):
         if int(self.hop_size) <= 0:
             raise ValueError(f"hop_size must be positive, got {self.hop_size}")
         object.__setattr__(self, "hop_size", int(self.hop_size))
         values = _as_float_array(self.values, "f0 values", 1)
-        voiced = np.ascontiguousarray(self.voiced, dtype=bool)
-        if voiced.shape != values.shape:
-            raise ValueError("voiced flags must match f0 values in length")
         if values.size and values.min() < 0:
             raise ValueError("f0 values must be non-negative")
-        if not np.array_equal(values > 0, voiced):
-            raise ValueError("voiced flags inconsistent with zero/nonzero f0 values")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "voiced", voiced)
 
     @classmethod
     def from_values(cls, values, hop_size: int) -> "F0Contour":
-        """Build a contour from raw per-frame Hz values, inferring voicing."""
-        arr = np.ascontiguousarray(values, dtype=np.float64)
-        return cls(hop_size=hop_size, values=arr, voiced=arr > 0)
+        """Build a contour from raw per-frame Hz values."""
+        return cls(hop_size=hop_size, values=values)
+
+    @property
+    def voiced(self) -> np.ndarray:
+        """Per-frame voicing flags, values > 0."""
+        return self.values > 0
 
     @property
     def frames(self) -> int:

@@ -59,6 +59,8 @@ def read_wav(path) -> Waveform:
         raise UnsupportedAudioError(
             f"{path}: unsupported sample format {data.dtype}; expected PCM16 or float"
         )
+    if not np.isfinite(samples).all():
+        raise FormatError(f"{path}: samples contain NaN or Inf")
     return Waveform(samples, int(rate))
 
 

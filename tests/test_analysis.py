@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from hnsynth.analysis import (
     AnalysisConfig,
+    _harmonics_from_magnitude,
+    _peak_pairs,
     analyze,
     estimate_f0,
     estimate_harmonics,
@@ -228,6 +230,85 @@ def test_analyze_round_trip_mel_bound():
     cfg = MelConfig(spectral=SPECTRAL)
     l1 = np.abs(mel_spectrogram(y, cfg) - mel_spectrogram(x, cfg)).mean()
     assert l1 < 0.05
+
+
+# Frozen copy of the per-frame peak reader that the pair-wise reader replaced:
+# one search per voiced frame, with the bins, Nyquist mask and gains rebuilt
+# on every read.
+def _frozen_peak_measure(db, bins, halfwidth):
+    n_bins = db.shape[0]
+    offs = np.arange(-halfwidth, halfwidth + 1)
+    window = np.clip(bins[:, None] + offs[None, :], 1, n_bins - 2)
+    local = db[window]
+    peak = window[np.arange(len(bins)), np.argmax(local, axis=1)]
+    alpha, beta, gamma = db[peak - 1], db[peak], db[peak + 1]
+    denom = alpha - 2 * beta + gamma
+    delta = np.where(denom < -1e-12, 0.5 * (alpha - gamma) / np.where(denom < -1e-12, denom, -1.0), 0.0)
+    delta = np.clip(delta, -0.5, 0.5)
+    peak_db = beta - 0.25 * (alpha - gamma) * delta
+    return 10.0 ** (peak_db / 20.0)
+
+
+def _frozen_frame_gains(spectral, n_frames, n_samples):
+    w = spectral.window_array()
+    csum = np.concatenate([[0.0], np.cumsum(w)])
+    starts = np.arange(n_frames) * spectral.hop_size - spectral.pad_left
+    lo = np.clip(-starts, 0, spectral.fft_size)
+    hi = np.clip(n_samples - starts, 0, spectral.fft_size)
+    return np.maximum(csum[hi] - csum[lo], 1e-12) / 2.0
+
+
+def _frozen_harmonics_from_magnitude(mag, f0, cfg, spectral, sample_rate, n_samples):
+    nyquist = sample_rate / 2.0
+    bin_hz = sample_rate / spectral.fft_size
+    gains = _frozen_frame_gains(spectral, mag.shape[0], n_samples)
+    db = 20.0 * np.log10(mag + 1e-12)
+    values = np.zeros((f0.frames, cfg.k_max))
+    ks = np.arange(1, cfg.k_max + 1)
+    for m in np.flatnonzero(f0.voiced):
+        freqs = ks * f0.values[m]
+        keep = freqs < nyquist
+        if not keep.any():
+            continue
+        bins = np.rint(freqs[keep] / bin_hz).astype(int)
+        values[m, keep] = _frozen_peak_measure(db[m], bins, cfg.peak_halfwidth_bins) / gains[m]
+    return values
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sr=st.sampled_from([8000, 22050, 44100]),
+    fft_size=st.sampled_from([64, 256, 1024]),
+    hop_frac=st.floats(min_value=0.0, max_value=1.0),
+    frames=st.integers(min_value=1, max_value=40),
+    short=st.integers(min_value=0, max_value=10_000),
+    k_max=st.integers(min_value=1, max_value=100),
+    halfwidth=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_peak_reader_matches_per_frame_reader(sr, fft_size, hop_frac, frames, short, k_max, halfwidth, seed):
+    # hops are odd and even alike; the contour mixes unvoiced runs, low pitches
+    # that keep every harmonic, pitches near Nyquist that keep only some, and
+    # pitches whose harmonic k lands on Nyquist itself
+    hop = max(1, round(hop_frac * fft_size))
+    spectral = SpectralConfig(fft_size=fft_size, hop_size=hop, win_size=fft_size)
+    cfg = AnalysisConfig(hop_size=hop, k_max=k_max, peak_halfwidth_bins=halfwidth)
+    rng = np.random.default_rng(seed)
+    low = rng.uniform(20.0, sr / 200, frames)
+    high = rng.uniform(0.0, 0.5, frames) * sr
+    on_nyquist = sr / 2 / rng.integers(1, 101, frames)
+    f0 = np.choose(rng.integers(0, 3, frames), [low, high, on_nyquist])
+    for _ in range(rng.integers(0, 3, endpoint=True)):
+        start = rng.integers(0, frames)
+        f0[start : start + rng.integers(1, 8)] = 0.0
+    contour = F0Contour.from_values(f0, hop)
+    mag = rng.gamma(0.5, size=(frames, spectral.n_bins))
+    mag[rng.random(mag.shape) < 0.1] = 0.0
+    n_samples = frames * hop - short % hop
+
+    got = _harmonics_from_magnitude(mag, _peak_pairs(contour, cfg, spectral, sr, n_samples))
+    expected = _frozen_harmonics_from_magnitude(mag, contour, cfg, spectral, sr, n_samples)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_analyze_silence():

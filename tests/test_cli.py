@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from hnsynth.cli import cli_main
 from hnsynth.config import build_tool_config
@@ -154,6 +155,27 @@ def test_malformed_wav_header_exits_4(tmp_path, capsys, edit):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(edit(_pcm16_wav_bytes(tmp_path)))
     out = tmp_path / "o.hnsf"
+    assert cli_main(["analyze", str(bad), "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("hnsynth: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [20000, 20500])
+def test_analyze_with_hop_wider_than_the_lag_span(tmp_path, n):
+    # at 8 kHz half a 512-sample hop outreaches half the f0 tracker's lag span
+    wav, feat, cfg = tmp_path / "x.wav", tmp_path / "x.hnsf", tmp_path / "run.cfg"
+    write_wav(harmonic_tone(220.0, 8000, n / 8000, [0.5, 0.2]), wav)
+    cfg.write_text("hop_size = 512\n")
+    assert cli_main(["analyze", str(wav), "-o", str(feat), "--config", str(cfg)]) == 0
+    assert load_features(feat).frames == -(-n // 512)
+
+
+def test_non_finite_float_wav_exits_4(tmp_path, capsys):
+    samples = np.zeros(8000, dtype=np.float32)
+    samples[100] = np.nan
+    bad, out = tmp_path / "nan.wav", tmp_path / "o.hnsf"
+    wavfile.write(bad, 8000, samples)
     assert cli_main(["analyze", str(bad), "-o", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("hnsynth: ") and err.count("\n") == 1

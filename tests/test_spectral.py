@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnsynth.spectral import (
     MelConfig,
     SpectralConfig,
     default_spectral,
+    frame_anchor,
     frame_count,
+    frame_view,
     hz_to_mel,
     istft,
     mel_filterbank,
@@ -39,6 +43,26 @@ def test_frame_count_is_ceil_of_hops():
     assert frame_count(128 * 10, 128) == 10
     assert frame_count(128 * 10 + 1, 128) == 11
     assert frame_count(1, 128) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=300),
+    hop=st.integers(min_value=1, max_value=64),
+    lead=st.integers(min_value=0, max_value=100),
+    length=st.integers(min_value=1, max_value=100),
+)
+def test_frame_view_rows_are_slices_of_zero_extended_signal(n, hop, lead, length):
+    # lead may fall below hop // 2, so row 0 can start inside the signal
+    x = np.arange(1.0, n + 1.0)
+    frames = frame_view(x, hop, lead, length)
+    assert frames.shape == (frame_count(n, hop), length)
+    assert not frames.flags.writeable
+    pad = lead + length + hop
+    ext = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
+    for m, row in enumerate(frames):
+        start = pad + frame_anchor(m, hop) - lead
+        assert np.array_equal(row, ext[start : start + length])
 
 
 def test_default_spectral_tracks_sample_rate():

@@ -23,8 +23,8 @@ from conftest import constant_amps, constant_contour
 def test_cumulative_phase_constant_closed_form():
     sr, f0, seconds = 44100, 441.0, 10.0
     n = int(sr * seconds)
-    phase = cumulative_phase(np.full(n, f0), sr, phi0=0.25)
-    expected = 2 * np.pi * f0 * (np.arange(n, dtype=np.longdouble) + 1) / sr + 0.25
+    phase = cumulative_phase(np.full(n, f0), sr)
+    expected = 2 * np.pi * f0 * (np.arange(n, dtype=np.longdouble) + 1) / sr
     assert np.abs(phase - expected.astype(np.float64)).max() < 1e-6
 
 
