@@ -1,7 +1,10 @@
 """Feature extraction: F0 tracking, harmonic amplitudes, noise magnitudes.
 
 The tracker is a normalized-autocorrelation (NCCF) pitch detector with
-parabolic peak refinement and a median filter over voiced runs. Harmonic
+parabolic peak refinement, a median and mean filter over voiced runs, and a
+phase-drift refinement. It works array at a time: once the NCCF matrix is
+built, peak choice, lobe fit, smoothing and refinement each treat all frames
+(or a block of them) in one pass, with no Python loop over frames. Harmonic
 amplitudes are read off the magnitude STFT by local peak interpolation and
 window-gain normalization, so a unit-amplitude sinusoid measures as ~1.
 The noise spectrum is the magnitude STFT of the residual after subtracting a
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import SpectralConfig, frame_anchor, frame_count, frame_view, stft
 from .synth import _phasor_blocks, harmonic_synthesize
@@ -29,6 +33,11 @@ _TINY = 1e-12
 # Largest change the phase-drift pass may make to a lag-domain f0 estimate.
 _MAX_CORRECTION_HZ = 3.0
 
+# Frames per block of the tracker's peak choice and phase refinement, so their
+# (frames, lags) and (frames, 4*hop) temporaries grow with the block, not with
+# the clip, and stay below the NCCF's own (frames, FFT size) spectra.
+_FRAME_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -37,7 +46,8 @@ class AnalysisConfig:
     f0_min/f0_max bound the pitch search; hop_size must match the spectral
     hop when the outputs feed harmonic estimation. voicing_threshold is the
     minimum normalized-autocorrelation peak for a frame to count as voiced,
-    and silence_rms is the frame RMS below which frames are unvoiced outright.
+    and silence_rms is the frame RMS below which frames are unvoiced outright;
+    both must be finite.
     """
 
     f0_min: float = 70.0
@@ -66,6 +76,10 @@ class AnalysisConfig:
             raise ValueError("harmonic_floor must lie in [0, 1)")
         if self.median_width < 1 or self.median_width % 2 == 0:
             raise ValueError("median_width must be a positive odd count")
+        if not (math.isfinite(self.voicing_threshold) and math.isfinite(self.silence_rms)):
+            raise ValueError(
+                f"voicing_threshold and silence_rms must be finite, got {self.voicing_threshold}, {self.silence_rms}"
+            )
 
 
 def _nccf_frames(x: np.ndarray, hop: int, wlen: int, max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,74 +105,95 @@ def _nccf_frames(x: np.ndarray, hop: int, wlen: int, max_lag: int) -> tuple[np.n
     return corr / denom, base_energy, lag_energy
 
 
-def _lobe_vertex(seg: np.ndarray, i: int) -> float:
-    """Sub-lag peak position from a least-squares parabola over the lobe top.
+def _lobe_vertices(seg: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Sub-lag peak position of each row from a least-squares parabola over its lobe top.
 
-    Fits every contiguous lag whose correlation stays above 90% of the local
-    peak, so a broad noisy peak (pure tone in noise) is averaged over many
-    lags while a sharp multi-harmonic peak keeps a 3-point footprint. The
-    vertex is clamped to the fitted range.
+    Fits every contiguous lag around i whose correlation stays above 90% of
+    seg[i], and at least i-1..i+1, so a broad noisy peak (pure tone in noise)
+    is averaged over many lags while a sharp multi-harmonic peak keeps a
+    3-point footprint. The vertex is clamped to the fitted range; a lobe that
+    does not curve downward keeps i.
     """
-    cut = 0.9 * seg[i]
-    lo = i
-    while lo > 0 and seg[lo - 1] >= cut:
-        lo -= 1
-    hi = i
-    while hi < len(seg) - 1 and seg[hi + 1] >= cut:
-        hi += 1
-    lo = min(lo, i - 1)
-    hi = max(hi, i + 1)
-    if lo < 0 or hi > len(seg) - 1:
-        return float(i)
-    u = np.arange(lo, hi + 1, dtype=float) - i
-    a, b, _ = np.polyfit(u, seg[lo : hi + 1], 2)
-    if a >= -_TINY:
-        return float(i)
-    vertex = -b / (2.0 * a)
-    return i + float(np.clip(vertex, u[0], u[-1]))
+    n, width = seg.shape
+    rows = np.arange(n)[:, None]
+    lags = np.arange(width)
+    below = seg < 0.9 * seg[rows, i[:, None]]
+    lo = np.minimum(np.where(below & (lags < i[:, None]), lags, -1).max(axis=1) + 1, i - 1)
+    hi = np.maximum(np.where(below & (lags > i[:, None]), lags, width).min(axis=1) - 1, i + 1)
+
+    idx = lo[:, None] + np.arange((hi - lo).max() + 1)
+    inside = idx <= hi[:, None]
+    y = np.where(inside, seg[rows, np.minimum(idx, width - 1)], 0.0)
+    centre = (lo + hi) / 2.0
+    v = np.where(inside, idx - centre[:, None], 0.0)
+    # The lags sit symmetrically about the centre, so 1, v and v^2 - mean(v^2)
+    # are orthogonal over them and each coefficient is a ratio of two sums.
+    v2 = v * v
+    p2 = np.where(inside, v2 - v2.sum(axis=1, keepdims=True) / inside.sum(axis=1, keepdims=True), 0.0)
+    a = (p2 * y).sum(axis=1) / (p2 * p2).sum(axis=1)
+    b = (v * y).sum(axis=1) / v2.sum(axis=1)
+    curved = a < -_TINY
+    vertex = centre - b / (2.0 * np.where(curved, a, -1.0))
+    return np.where(curved, np.clip(vertex, lo, hi), i)
 
 
-def _pick_peak(r: np.ndarray, min_lag: int, threshold: float) -> tuple[float, float]:
-    """Subharmonic-aware correlation peak; returns (lag, value).
+def _pick_peaks(seg: np.ndarray, min_lag: int, threshold: float) -> np.ndarray:
+    """Subharmonic-aware correlation peak of each row of seg, as a fractional lag.
 
-    Starts from the global maximum over the admissible lags, then prefers the
-    smallest integer submultiple of that lag whose correlation is nearly as
-    high: a periodic signal repeats at every multiple of its true period, so
-    the argmax can land an octave (or more) low, but arbitrary shorter lags
-    never qualify. Returns (nan, value) when the best peak misses threshold.
+    seg holds each frame's correlation at lags min_lag, min_lag + 1, ... (at
+    least 3 of them). Each frame starts from its global maximum, then prefers
+    the smallest integer submultiple of that lag whose correlation is nearly
+    as high: a periodic signal repeats at every multiple of its true period,
+    so the argmax can land an octave (or more) low, but arbitrary shorter lags
+    never qualify. The lag is NaN where the chosen peak misses threshold.
     """
-    seg = r[min_lag:]
-    if len(seg) < 3:
-        return math.nan, 0.0
-    best_idx = int(np.argmax(seg))
-    best = float(seg[best_idx])
-    if best < threshold:
-        return math.nan, best
+    n, width = seg.shape
+    rows = np.arange(n)
+    best_idx = np.argmax(seg, axis=1)
+    best = seg[rows, best_idx]
     lag0 = min_lag + best_idx
-    chosen = best_idx
-    for div in range(int(lag0 // min_lag), 1, -1):
-        approx = lag0 / div - min_lag
-        lo = max(0, int(round(approx)) - 2)
-        hi = min(len(seg), int(round(approx)) + 3)
-        if hi <= lo:
-            continue
-        local = lo + int(np.argmax(seg[lo:hi]))
-        if seg[local] >= 0.9 * best:
-            chosen = local
-            break
-    i = int(np.clip(chosen, 1, len(seg) - 2))
-    return min_lag + _lobe_vertex(seg, i), float(seg[i])
+    chosen = best_idx.copy()
+    pending = np.ones(n, dtype=bool)
+    # Each divisor looks 2 lags either side of lag0 / div; the largest divisor
+    # whose window holds a near-best peak wins.
+    offsets = np.arange(-2, 3)
+    for div in range((min_lag + width - 1) // min_lag, 1, -1):
+        live = np.flatnonzero(pending & (lag0 // min_lag >= div))
+        window = np.rint(lag0[live] / div - min_lag).astype(int)[:, None] + offsets
+        local = np.where(
+            (window >= 0) & (window < width), seg[live[:, None], np.clip(window, 0, width - 1)], -np.inf
+        )
+        pick = np.argmax(local, axis=1)
+        hit = local[np.arange(live.size), pick] >= 0.9 * best[live]
+        chosen[live[hit]] = window[hit, pick[hit]]
+        pending[live[hit]] = False
+
+    i = np.clip(chosen, 1, width - 2)
+    lag = np.full(n, np.nan)
+    keep = seg[rows, i] >= threshold
+    if keep.any():
+        lag[keep] = min_lag + _lobe_vertices(seg[keep], i[keep])
+    return lag
 
 
-def _smooth_voiced(values: np.ndarray, voiced: np.ndarray, width: int, reducer) -> np.ndarray:
-    """Apply reducer over the voiced entries of each centered window."""
+def _smooth_voiced(values: np.ndarray, voiced: np.ndarray, width: int) -> np.ndarray:
+    """Median, then mean, over the voiced entries of each centered window.
+
+    Unvoiced entries are left as they are and never enter a window.
+    """
     half = width // 2
+
+    def windows(a, fill):
+        return sliding_window_view(np.pad(a, half, constant_values=fill), width)[voiced]
+
+    count = windows(voiced, False).sum(axis=1)
+    rows = np.arange(count.size)
     out = values.copy()
-    idx = np.flatnonzero(voiced)
-    for i in idx:
-        lo, hi = max(0, i - half), min(len(values), i + half + 1)
-        neighborhood = values[lo:hi][voiced[lo:hi]]
-        out[i] = reducer(neighborhood)
+    # Unvoiced entries sort last as +inf, so the middle of the voiced ones sits
+    # at (count - 1) // 2 and count // 2.
+    ranked = np.sort(windows(np.where(voiced, values, np.inf), np.inf), axis=1)
+    out[voiced] = (ranked[rows, (count - 1) // 2] + ranked[rows, count // 2]) / 2.0
+    out[voiced] = windows(np.where(voiced, out, 0.0), 0.0).sum(axis=1) / count
     return out
 
 
@@ -179,27 +214,20 @@ def estimate_f0(x: Waveform, cfg: AnalysisConfig) -> F0Contour:
     wlen = 2 * max_lag
     nccf, base_energy, _ = _nccf_frames(x.samples, hop, wlen, max_lag)
 
-    energy_floor = wlen * cfg.silence_rms**2
+    lag = np.full(n_frames, np.nan)
+    if max_lag - min_lag >= 2:  # a peak and both its neighbours fit in the lag range
+        loud = np.flatnonzero(base_energy >= wlen * cfg.silence_rms**2)
+        for start in range(0, loud.size, _FRAME_BLOCK):
+            m = loud[start : start + _FRAME_BLOCK]
+            lag[m] = _pick_peaks(nccf[m, min_lag:], min_lag, cfg.voicing_threshold)
+    voiced = ~np.isnan(lag)
     values = np.zeros(n_frames)
-    voiced = np.zeros(n_frames, dtype=bool)
-    for m in range(n_frames):
-        if base_energy[m] < energy_floor:
-            continue
-        lag, clarity = _pick_peak(nccf[m], min_lag, cfg.voicing_threshold)
-        if math.isnan(lag) or clarity < cfg.voicing_threshold:
-            continue
-        f = sr / lag
-        if not (cfg.f0_min <= f <= cfg.f0_max):
-            f = float(np.clip(f, cfg.f0_min, cfg.f0_max))
-        values[m] = f
-        voiced[m] = True
+    values[voiced] = np.clip(sr / lag[voiced], cfg.f0_min, cfg.f0_max)
 
     # Median first to reject isolated octave errors, then a short mean to
     # cut frame-to-frame jitter that would read back as FM in resynthesis.
-    values = _smooth_voiced(values, voiced, cfg.median_width, np.median)
-    values = _smooth_voiced(values, voiced, cfg.median_width, np.mean)
+    values = _smooth_voiced(values, voiced, cfg.median_width)
     values = _phase_refine(x.samples, values, voiced, sr, hop)
-    values[~voiced] = 0.0
     return F0Contour(hop_size=hop, values=values)
 
 
@@ -217,21 +245,32 @@ def _phase_refine(x: np.ndarray, values: np.ndarray, voiced: np.ndarray, sr: int
     # Hann-weighting each half suppresses the -2f image and neighboring
     # harmonics that would otherwise bias the phase step.
     taper = np.hanning(half + 1)[:-1]
-    for m in np.flatnonzero(voiced):
-        center = frame_anchor(m, hop)
-        lo, hi = center - half, center + half
-        if lo < 0 or hi > len(x):
-            continue  # edge frames keep the lag-domain estimate
+    frames = np.flatnonzero(voiced)
+    center = frame_anchor(frames, hop)
+    # edge frames keep the lag-domain estimate
+    frames = frames[(center >= half) & (center + half <= len(x))]
+    rows = frame_view(x, hop, half, 2 * half)
+    # Each half is demodulated relative to its own first sample: the phase
+    # e^{-iw*start} common to both halves cancels in c2 * conj(c1). Writing the
+    # offset j = q*step + r factors e^{-iwj} into e^{-iwq*step} e^{-iwr}, about
+    # 2*sqrt(half) exponentials per frame instead of half.
+    step = math.isqrt(half - 1) + 1
+    n_q = -(-half // step)
+    r = np.arange(step)
+    q = np.arange(n_q) * step
+    for start in range(0, frames.size, _FRAME_BLOCK):
+        m = frames[start : start + _FRAME_BLOCK]
         f_hat = values[m]
-        t = np.arange(lo, hi) / sr
-        demod = x[lo:hi] * np.exp(-2j * np.pi * f_hat * t)
-        c1 = (taper * demod[:half]).sum()
-        c2 = (taper * demod[half:]).sum()
-        if min(abs(c1), abs(c2)) < _TINY:
-            continue
-        step = float(np.angle(c2 * np.conj(c1)))
-        correction = step * sr / (2 * np.pi * half)
-        values[m] = f_hat + float(np.clip(correction, -_MAX_CORRECTION_HZ, _MAX_CORRECTION_HZ))
+        w = 2.0 * np.pi * f_hat / sr
+        halves = np.zeros((m.size, 2, n_q * step))
+        halves[:, :, :half] = rows[m].reshape(m.size, 2, half) * taper
+        inner = halves.reshape(m.size, 2 * n_q, step) @ np.exp(-1j * w[:, None] * r)[:, :, None]
+        sums = (inner.reshape(m.size, 2, n_q) * np.exp(-1j * w[:, None] * q)[:, None, :]).sum(axis=2)
+        c1 = sums[:, 0]
+        c2 = sums[:, 1] * np.exp(-1j * w * half)
+        ok = np.minimum(np.abs(c1), np.abs(c2)) >= _TINY
+        correction = np.angle(c2[ok] * np.conj(c1[ok])) * sr / (2 * np.pi * half)
+        values[m[ok]] = f_hat[ok] + np.clip(correction, -_MAX_CORRECTION_HZ, _MAX_CORRECTION_HZ)
     return values
 
 

@@ -1,5 +1,7 @@
 """Analysis front-end: F0 tracking, harmonic and noise estimation, round trips."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,17 @@ from hypothesis import strategies as st
 from hnsynth.analysis import (
     AnalysisConfig,
     _harmonics_from_magnitude,
+    _nccf_frames,
     _peak_pairs,
+    _phase_refine,
+    _pick_peaks,
     analyze,
     estimate_f0,
     estimate_harmonics,
     estimate_initial_phases,
     estimate_noise,
 )
-from hnsynth.spectral import MelConfig, SpectralConfig, mel_spectrogram, stft
+from hnsynth.spectral import MelConfig, SpectralConfig, frame_anchor, frame_count, mel_spectrogram, stft
 from hnsynth.synth import harmonic_synthesize
 from hnsynth.types import F0Contour, HarmonicAmplitudes, InitialPhases, Waveform
 
@@ -95,6 +100,231 @@ def test_f0_noisy_sines_mostly_within_two_hz():
         good = np.abs(f0.values[f0.voiced] - freq) < 2.0
         assert f0.voiced.mean() > 0.9
         assert good.mean() >= 0.95
+
+
+# Frozen copy of the per-frame tracker that the array-at-a-time tracker
+# replaced: one peak choice, polyfit lobe fit, smoothing window and
+# demodulation per frame, over the same NCCF.
+def _frozen_lobe_vertex(seg, i):
+    cut = 0.9 * seg[i]
+    lo = i
+    while lo > 0 and seg[lo - 1] >= cut:
+        lo -= 1
+    hi = i
+    while hi < len(seg) - 1 and seg[hi + 1] >= cut:
+        hi += 1
+    lo = min(lo, i - 1)
+    hi = max(hi, i + 1)
+    if lo < 0 or hi > len(seg) - 1:
+        return float(i)
+    u = np.arange(lo, hi + 1, dtype=float) - i
+    a, b, _ = np.polyfit(u, seg[lo : hi + 1], 2)
+    if a >= -1e-12:
+        return float(i)
+    vertex = -b / (2.0 * a)
+    return i + float(np.clip(vertex, u[0], u[-1]))
+
+
+def _frozen_pick_peak(r, min_lag, threshold):
+    seg = r[min_lag:]
+    if len(seg) < 3:
+        return math.nan, 0.0
+    best_idx = int(np.argmax(seg))
+    best = float(seg[best_idx])
+    if best < threshold:
+        return math.nan, best
+    lag0 = min_lag + best_idx
+    chosen = best_idx
+    for div in range(int(lag0 // min_lag), 1, -1):
+        approx = lag0 / div - min_lag
+        lo = max(0, int(round(approx)) - 2)
+        hi = min(len(seg), int(round(approx)) + 3)
+        if hi <= lo:
+            continue
+        local = lo + int(np.argmax(seg[lo:hi]))
+        if seg[local] >= 0.9 * best:
+            chosen = local
+            break
+    i = int(np.clip(chosen, 1, len(seg) - 2))
+    return min_lag + _frozen_lobe_vertex(seg, i), float(seg[i])
+
+
+def _frozen_smooth_voiced(values, voiced, width, reducer):
+    half = width // 2
+    out = values.copy()
+    idx = np.flatnonzero(voiced)
+    for i in idx:
+        lo, hi = max(0, i - half), min(len(values), i + half + 1)
+        neighborhood = values[lo:hi][voiced[lo:hi]]
+        out[i] = reducer(neighborhood)
+    return out
+
+
+def _frozen_phase_refine(x, values, voiced, sr, hop):
+    values = values.copy()
+    half = 2 * hop
+    taper = np.hanning(half + 1)[:-1]
+    for m in np.flatnonzero(voiced):
+        center = frame_anchor(m, hop)
+        lo, hi = center - half, center + half
+        if lo < 0 or hi > len(x):
+            continue
+        f_hat = values[m]
+        t = np.arange(lo, hi) / sr
+        demod = x[lo:hi] * np.exp(-2j * np.pi * f_hat * t)
+        c1 = (taper * demod[:half]).sum()
+        c2 = (taper * demod[half:]).sum()
+        if min(abs(c1), abs(c2)) < 1e-12:
+            continue
+        step = float(np.angle(c2 * np.conj(c1)))
+        correction = step * sr / (2 * np.pi * half)
+        values[m] = f_hat + float(np.clip(correction, -3.0, 3.0))
+    return values
+
+
+def _frozen_estimate_f0(x, cfg):
+    sr = x.sample_rate
+    hop = cfg.hop_size
+    n_frames = frame_count(len(x), hop)
+    max_lag = int(math.ceil(sr / cfg.f0_min))
+    min_lag = max(2, int(math.floor(sr / cfg.f0_max)))
+    wlen = 2 * max_lag
+    nccf, base_energy, _ = _nccf_frames(x.samples, hop, wlen, max_lag)
+
+    energy_floor = wlen * cfg.silence_rms**2
+    values = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
+    for m in range(n_frames):
+        if base_energy[m] < energy_floor:
+            continue
+        lag, clarity = _frozen_pick_peak(nccf[m], min_lag, cfg.voicing_threshold)
+        if math.isnan(lag) or clarity < cfg.voicing_threshold:
+            continue
+        f = sr / lag
+        if not (cfg.f0_min <= f <= cfg.f0_max):
+            f = float(np.clip(f, cfg.f0_min, cfg.f0_max))
+        values[m] = f
+        voiced[m] = True
+
+    values = _frozen_smooth_voiced(values, voiced, cfg.median_width, np.median)
+    values = _frozen_smooth_voiced(values, voiced, cfg.median_width, np.mean)
+    values = _frozen_phase_refine(x.samples, values, voiced, sr, hop)
+    values[~voiced] = 0.0
+    return values
+
+
+# Largest |f0| difference allowed against the per-frame tracker: the lobe fit,
+# the smoothing mean and the demodulation sum in another order.
+F0_TOL_HZ = 1e-9
+
+
+def _assert_tracks_like_frozen(x, cfg):
+    got = estimate_f0(x, cfg)
+    expected = _frozen_estimate_f0(x, cfg)
+    assert np.array_equal(got.voiced, expected > 0)
+    assert np.abs(got.values - expected).max(initial=0.0) <= F0_TOL_HZ
+
+
+def _tracker_signal(rng, sr, seconds):
+    """A harmonic tone with vibrato and an octave jump, a silent gap, and noise."""
+    n = int(seconds * sr)
+    t = np.arange(n) / sr
+    f0 = rng.uniform(75.0, 380.0) * (1.0 + rng.uniform(0.0, 0.03) * np.sin(2 * np.pi * rng.uniform(3.0, 7.0) * t))
+    f0[rng.integers(0, n) :] *= rng.choice([0.5, 1.0, 2.0])
+    psi = 2 * np.pi * np.cumsum(f0) / sr
+    k_top = rng.integers(1, 6)
+    x = sum(np.sin(k * psi + rng.uniform(0, 2 * np.pi)) / k for k in range(1, k_top + 1) if k * f0.max() < sr / 2)
+    gap = rng.integers(0, n)
+    x[gap : gap + rng.integers(0, n // 3)] = 0.0
+    noise = rng.uniform(0.0, 0.5) * rng.standard_normal(n)
+    noise[: rng.integers(0, n // 4)] *= 4.0  # a noise-only stretch loud enough to stay unvoiced
+    return Waveform(rng.uniform(0.05, 0.9) * x + noise, sr)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sr=st.sampled_from([8000, 22050, 44100, 48000]),
+    hop=st.integers(min_value=40, max_value=700),
+    median_width=st.sampled_from([1, 3, 5, 7, 9]),
+    threshold=st.floats(min_value=0.2, max_value=0.7),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_tracker_matches_per_frame_tracker(sr, hop, median_width, threshold, seed):
+    # odd and even hops alike; 0.35 s keeps the frozen per-frame copy quick
+    rng = np.random.default_rng(seed)
+    cfg = AnalysisConfig(hop_size=hop, median_width=median_width, voicing_threshold=threshold)
+    _assert_tracks_like_frozen(_tracker_signal(rng, sr, 0.35), cfg)
+
+
+def test_tracker_with_fewer_than_three_lags_is_unvoiced():
+    # f0 399-400 Hz at 8 kHz leaves lags 20 and 21 only
+    cfg = AnalysisConfig(f0_min=399.0, f0_max=400.0, hop_size=128)
+    x = sine(400.0, 8000, 0.3)
+    assert not estimate_f0(x, cfg).voiced.any()
+    _assert_tracks_like_frozen(x, cfg)
+
+
+def test_tracker_matches_per_frame_tracker_at_the_edges():
+    # a tone voiced to both ends, so frames within 2*hop of either end keep
+    # the lag-domain estimate while the rest are refined
+    x = harmonic_tone(211.0, SR, 0.4, [0.5, 0.3, 0.1])
+    f0 = estimate_f0(x, ANA)
+    assert f0.voiced[[0, 1, -2, -1]].all()
+    _assert_tracks_like_frozen(x, ANA)
+
+
+def _rows_with_bumps(width, bumps):
+    """A correlation row of width lags with a parabolic bump (index, height, halfwidth) each."""
+    u = np.arange(width)[:, None]
+    at, height, hw = (np.asarray(b, dtype=float) for b in zip(*bumps))
+    return np.clip(height * (1 - ((u - at) / hw) ** 2), -0.2, None).max(axis=1)
+
+
+@pytest.mark.parametrize(
+    "min_lag, seg",
+    [
+        # the peak on the first admissible lag is clipped to index 1
+        pytest.param(20, np.linspace(0.95, 0.1, 40), id="peak-on-first-lag"),
+        # lag0 = 24 + 25 = 49: its half sits at index 0.5, so that window is
+        # clipped at 0, and the near-best peak found there is clipped to 1
+        pytest.param(24, _rows_with_bumps(40, [(25, 0.9, 3.0), (0.3, 0.85, 2.5)]), id="window-clipped-at-start"),
+        # lag0 = 90 has near-best peaks at its half and its third: the largest divisor wins
+        pytest.param(
+            20, _rows_with_bumps(100, [(70, 0.9, 4.0), (25, 0.86, 4.0), (10, 0.85, 4.0)]), id="largest-divisor-wins"
+        ),
+        # a flat lobe around a clipped peak does not curve down and keeps its integer lag
+        pytest.param(20, np.r_[0.95, 0.95, 0.95, 0.95, 0.3, 0.1], id="flat-lobe"),
+        # nor does a lobe that curves up
+        pytest.param(20, np.r_[1.0, 0.92, 0.95, 0.4, 0.1], id="upward-lobe"),
+        # a broad lobe above 90% is fitted over every lag of the run
+        pytest.param(20, 0.8 + 0.15 * np.cos(np.linspace(-1.2, 2.0, 50)), id="broad-lobe"),
+        pytest.param(20, np.full(6, 0.2), id="below-threshold"),
+    ],
+)
+def test_peak_choice_matches_per_frame_peak_choice(min_lag, seg):
+    lag = _pick_peaks(seg[None, :], min_lag, 0.3)[0]
+    expected, clarity = _frozen_pick_peak(np.concatenate([np.zeros(min_lag), seg]), min_lag, 0.3)
+    if math.isnan(expected) or clarity < 0.3:
+        assert math.isnan(lag)
+    else:
+        assert abs(lag - expected) <= 1e-12 * expected
+
+
+def test_phase_refinement_skips_demodulation_sums_below_tiny():
+    # the tone is scaled to ~1e-16 over the first 0.3 s, so frames whose
+    # first half lies there sum below 1e-12 and keep their coarse value,
+    # while frames straddling the step, and after it, are corrected
+    sr, hop = 16000, 64
+    x = sine(200.0, sr, 0.6).samples.copy()
+    x[: int(0.3 * sr)] *= 1e-16
+    n_frames = frame_count(x.size, hop)
+    voiced = np.ones(n_frames, dtype=bool)
+    coarse = np.full(n_frames, 201.0)
+    got = _phase_refine(x, coarse, voiced, sr, hop)
+    expected = _frozen_phase_refine(x, coarse, voiced, sr, hop)
+    assert np.abs(got - expected).max() <= F0_TOL_HZ
+    kept = got == 201.0
+    assert kept[10:50].all() and not kept[90:140].any()
 
 
 # ------------------------------------------------------- harmonics

@@ -1,6 +1,7 @@
 """CLI subcommands end to end: exit codes, reports, determinism, atomicity."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -189,6 +190,17 @@ def test_bad_config_value_exits_5(tmp_path, tone_wav, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line", ["voicing_threshold = nan", "silence_rms = inf"])
+def test_non_finite_tracker_threshold_in_config_exits_5(tmp_path, tone_wav, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o.hnsf"
+    assert cli_main(["analyze", str(tone_wav), "-o", str(out), "--config", str(cfg)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("hnsynth: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_mismatched_metrics_inputs_exit_5(tmp_path, tone_wav, capsys):
     short = tmp_path / "short.wav"
     write_wav(Waveform(np.zeros(1000), SR), short)
@@ -270,6 +282,8 @@ def _edit_bundle(raw: bytes, edit) -> bytes:
         pytest.param(_set_header("sample_rate", 2**32), id="sample-rate-beyond-wav"),
         pytest.param(_set_header("version", True), id="bool-version"),
         pytest.param(_first_f0(SR / 2), id="f0-at-nyquist"),
+        pytest.param(_set_field("analysis", "voicing_threshold", math.nan), id="nan-voicing-threshold"),
+        pytest.param(_set_field("analysis", "silence_rms", math.inf), id="infinite-silence-rms"),
     ],
 )
 def test_malformed_bundle_exits_4(tmp_path, capsys, edit):
