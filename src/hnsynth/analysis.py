@@ -8,7 +8,8 @@ built, peak choice, lobe fit, smoothing and refinement each treat all frames
 amplitudes are read off the magnitude STFT by local peak interpolation and
 window-gain normalization, so a unit-amplitude sinusoid measures as ~1.
 The noise spectrum is the magnitude STFT of the residual after subtracting a
-phase-aligned harmonic reconstruction.
+phase-aligned harmonic reconstruction; analyze scales it by sqrt(fft / hop)
+so that the random-phase noise branch renders it at the measured level.
 
 All frame-level outputs take the frame count and the frame anchor from the
 spectral module's frame grid, so contours, amplitude matrices, and STFTs of the
@@ -82,27 +83,34 @@ class AnalysisConfig:
             )
 
 
-def _nccf_frames(x: np.ndarray, hop: int, wlen: int, max_lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nccf_frames(x: np.ndarray, hop: int, wlen: int, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     """Normalized cross-correlation per frame for lags 0..max_lag.
 
     Each frame correlates a wlen-sample base segment, centered on the frame
     anchor, against itself shifted by the candidate lag. Returns (nccf,
-    base_energy, lag_energy) with nccf shape (frames, max_lag+1).
+    base_energy) with nccf shape (frames, max_lag+1). base_energy owns its
+    data, and nccf is divided into the lag-energy matrix's own buffer, so nccf
+    is the only (frames, lags) matrix left when the call returns. The spectra
+    and the running sums are released as soon as they have been used.
     """
     span = wlen + max_lag
     segs = frame_view(x, hop, span // 2, span)
 
     n_fft = 1 << (span - 1).bit_length()
-    base = segs[:, :wlen]
-    spec_base = np.fft.rfft(base, n=n_fft, axis=1)
-    spec_seg = np.fft.rfft(segs, n=n_fft, axis=1)
-    corr = np.fft.irfft(np.conj(spec_base) * spec_seg, n=n_fft, axis=1)[:, : max_lag + 1]
+    spec = np.conj(np.fft.rfft(segs[:, :wlen], n=n_fft, axis=1))
+    spec *= np.fft.rfft(segs, n=n_fft, axis=1)
+    corr = np.fft.irfft(spec, n=n_fft, axis=1)[:, : max_lag + 1]
+    del spec
 
-    sq = np.concatenate([np.zeros((len(segs), 1)), np.cumsum(segs * segs, axis=1)], axis=1)
+    sq = np.zeros((len(segs), span + 1))
+    np.cumsum(np.square(segs), axis=1, out=sq[:, 1:])
     lag_energy = sq[:, wlen : wlen + max_lag + 1] - sq[:, : max_lag + 1]
-    base_energy = lag_energy[:, 0]
-    denom = np.sqrt(np.maximum(base_energy[:, None] * lag_energy, _TINY))
-    return corr / denom, base_energy, lag_energy
+    del sq
+    base_energy = lag_energy[:, 0].copy()
+    denom = np.multiply(base_energy[:, None], lag_energy, out=lag_energy)
+    np.maximum(denom, _TINY, out=denom)
+    np.sqrt(denom, out=denom)
+    return np.divide(corr, denom, out=denom), base_energy
 
 
 def _lobe_vertices(seg: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -212,7 +220,7 @@ def estimate_f0(x: Waveform, cfg: AnalysisConfig) -> F0Contour:
     # Correlating over two full periods of the lowest trackable pitch keeps
     # the refined lag stable under heavy additive noise.
     wlen = 2 * max_lag
-    nccf, base_energy, _ = _nccf_frames(x.samples, hop, wlen, max_lag)
+    nccf, base_energy = _nccf_frames(x.samples, hop, wlen, max_lag)
 
     lag = np.full(n_frames, np.nan)
     if max_lag - min_lag >= 2:  # a peak and both its neighbours fit in the lag range
@@ -427,7 +435,8 @@ def analyze(
 
     The residual driving the noise spectrum subtracts a harmonic reconstruction
     whose initial phases were fitted to x; the returned features themselves stay
-    amplitude-only.
+    amplitude-only. The noise magnitudes are scaled so that noise_synthesize
+    renders the residual at its own level.
     """
     if cfg.hop_size != spectral.hop_size:
         raise ValueError(
@@ -438,5 +447,9 @@ def analyze(
     phi0 = estimate_initial_phases(x, f0, harmonics.k_max)
     rendered = harmonic_synthesize(f0, harmonics, x.sample_rate, phi0)
     aligned = Waveform(rendered.samples[: len(x)], x.sample_rate)
-    noise = estimate_noise(x, aligned, spectral)
+    residual = estimate_noise(x, aligned, spectral)
+    # Frames under independent random phases overlap-add in power, so the noise
+    # branch renders sqrt(hop / fft) of the magnitudes it is given; store what
+    # it needs to render the residual at the level measured here.
+    noise = NoiseMagnitudeSpectrum(residual.values * math.sqrt(spectral.fft_size / spectral.hop_size))
     return f0, harmonics, noise

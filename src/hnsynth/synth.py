@@ -12,19 +12,28 @@ r-1 to frame r (row 0 is the constant lead-in, the last row the constant tail).
 One row index and one in-row offset then serve f0 and every amplitude column
 alike, with the arithmetic of np.interp over the anchors. f0(n) is laid out
 once for the whole signal, as psi, its running sum, is whole-length anyway;
-the amplitude columns are laid out block by block.
+the amplitude columns never are: the bank reads them as each row's start and
+slope.
 
 The bank walks the grid in blocks of a few dozen rows. Within a block it takes
 z = e^{i psi(n)} once and steps the harmonics by the phasor recurrence
 z_k = z_{k-1} * z, so sin(phi_k) is Im(z_k e^{i phi0_k}) and no harmonic calls
-sin. Any (sample, harmonic) pair whose frequency k*f0(n) reaches Nyquist
+sin; each live harmonic fills one row of a (harmonics, block samples) sine
+matrix. Any (sample, harmonic) pair whose frequency k*f0(n) reaches Nyquist
 contributes exactly zero. The cap is per block: harmonics at or above
 Nyquist / (block's min voiced f0) are silent and end the block's walk, and
 only those at or above Nyquist / (block's max f0) pay for the per-sample mask.
 A global cap cannot replace this, because interpolation ramps f0 to zero
 across half a hop into unvoiced frames, so every harmonic is live somewhere
-near every gap. Zero amplitude columns are skipped block by block, and the
-per-harmonic temporaries stay bounded by the block size.
+near every gap. Zero amplitude columns are skipped block by block.
+
+Offset j of grid row r reads amplitude start_k[r] + slope_k[r] * j for every
+harmonic, so the amplitudes are applied by a batched matrix product: the
+(rows, 2, harmonics) start and slope coefficients times the sine matrix give
+sum_k start_k[r] sin(phi_k) and sum_k slope_k[r] sin(phi_k) for every sample
+of row r, and the ramp is applied once per sample, not once per harmonic. The
+matrix is filled and contracted a slice of a few harmonics at a time, the
+partial sums adding up, so each slice is still in cache when it is read back.
 
 The noise branch inverts a magnitude spectrogram with uniformly random phase.
 Both branches are pure functions; the noise branch is pure given its seed.
@@ -43,6 +52,10 @@ from .types import F0Contour, HarmonicAmplitudes, InitialPhases, NoiseMagnitudeS
 # that the per-block temporaries stay a small fraction of one full-length array.
 _BLOCK_ROWS = 32
 
+# Harmonics per slice of the bank's sine matrix: 8 rows of a 32-row block of
+# 512-sample rows are 1 MiB, so each slice is filled and contracted in cache.
+_SLICE_HARMONICS = 8
+
 
 def _segment_grid(frame_values: np.ndarray, hop_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Start value and per-sample slope of each row of the segment grid.
@@ -54,13 +67,6 @@ def _segment_grid(frame_values: np.ndarray, hop_size: int) -> tuple[np.ndarray, 
     """
     ext = np.concatenate([frame_values[:1], frame_values, frame_values[-1:]])
     return ext[:-1], (ext[1:] - ext[:-1]) / hop_size
-
-
-def _segment_rows(start: np.ndarray, slope: np.ndarray, offsets: np.ndarray, out=None) -> np.ndarray:
-    """(rows, hop) samples of the grid rows given by one column of start and slope."""
-    rows = np.multiply(slope[:, None], offsets, out=out)
-    rows += start[:, None]
-    return rows
 
 
 def interpolate_to_samples(frame_values, hop_size: int, out_len: int) -> np.ndarray:
@@ -79,7 +85,9 @@ def interpolate_to_samples(frame_values, hop_size: int, out_len: int) -> np.ndar
             f"out_len must lie in [0, frames*hop_size], got {out_len} for "
             f"{values.size} frames of hop {hop_size}"
         )
-    rows = _segment_rows(*_segment_grid(values, hop_size), np.arange(hop_size, dtype=np.float64))
+    start, slope = _segment_grid(values, hop_size)
+    rows = slope[:, None] * np.arange(hop_size, dtype=np.float64)
+    rows += start[:, None]
     lead = -frame_anchor(-1, hop_size)  # samples of row 0 before sample 0
     return rows.reshape(-1)[lead : lead + out_len]
 
@@ -197,27 +205,40 @@ def harmonic_synthesize(
     for b in _phasor_blocks(f0, sample_rate, n, k_max):
         start, slope = starts[b.rows], slopes[b.rows]
         live = (start != 0).any(axis=0) | (slope != 0).any(axis=0)
-        ks = np.flatnonzero(live[: b.k_live])
+        ks = np.flatnonzero(live[: b.k_live]) + 1
         if ks.size == 0:
             continue
+        rows = start.shape[0]
         seg = out[b.lo : b.hi]
-        ramp = np.empty((start.shape[0], hop))
-        amp = ramp.reshape(-1)[b.skip : b.skip + seg.size]
+        coef = np.stack((start[:, ks - 1], slope[:, ks - 1]), axis=1)
+        # one row of sin(k psi + phi0_k) per live harmonic of the slice, on whole
+        # grid rows; the samples of the first and last rows outside lo..hi feed
+        # only discarded outputs, and are zeroed so the product reads no garbage
+        sines = np.empty((min(ks.size, _SLICE_HARMONICS), rows * hop))
+        sines[:, : b.skip] = 0.0
+        sines[:, b.skip + seg.size :] = 0.0
+        sums = np.zeros((rows, 2, hop))
         z = np.ones_like(b.z)
         turned = None if turns is None else np.empty_like(b.z)
-        wave = np.empty(seg.size)
-        for k in range(1, int(ks[-1]) + 2):
-            z *= b.z
-            if not live[k - 1]:
-                continue
-            _segment_rows(start[:, k - 1], slope[:, k - 1], offsets, out=ramp)
-            if k > b.k_free:
-                amp *= (k * b.f0 < nyquist).astype(np.float64)
-            phasor = z if turned is None else np.multiply(z, turns[k - 1], out=turned)
-            # a contiguous copy of the imaginary part multiplies faster than the strided view
-            np.copyto(wave, phasor.imag)
-            amp *= wave
-            seg += amp
+        k = 0
+        for first in range(0, ks.size, _SLICE_HARMONICS):
+            part = ks[first : first + _SLICE_HARMONICS]
+            wave = sines[: part.size, b.skip : b.skip + seg.size]
+            for row, k_next in enumerate(part):
+                while k < k_next:
+                    z *= b.z
+                    k += 1
+                phasor = z if turned is None else np.multiply(z, turns[k - 1], out=turned)
+                np.copyto(wave[row], phasor.imag)
+            gated = np.searchsorted(part, b.k_free, side="right")
+            wave[gated:] *= part[gated:, None] * b.f0 < nyquist
+            # (rows, 2, harmonics) @ (rows, harmonics, hop): per row, the sums
+            # over the slice's harmonics of start * sine and slope * sine
+            block = sines[: part.size].reshape(part.size, rows, hop).transpose(1, 0, 2)
+            sums += coef[:, :, first : first + part.size] @ block
+        ramped = np.multiply(sums[:, 1], offsets)
+        ramped += sums[:, 0]
+        seg += ramped.reshape(-1)[b.skip : b.skip + seg.size]
         if b.unvoiced is not None:
             seg[b.unvoiced] = 0.0
     return Waveform(out, sample_rate)

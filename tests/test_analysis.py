@@ -20,7 +20,7 @@ from hnsynth.analysis import (
     estimate_initial_phases,
     estimate_noise,
 )
-from hnsynth.spectral import MelConfig, SpectralConfig, frame_anchor, frame_count, mel_spectrogram, stft
+from hnsynth.spectral import MelConfig, SpectralConfig, frame_anchor, frame_count, frame_view, mel_spectrogram, stft
 from hnsynth.synth import harmonic_synthesize
 from hnsynth.types import F0Contour, HarmonicAmplitudes, InitialPhases, Waveform
 
@@ -189,7 +189,7 @@ def _frozen_estimate_f0(x, cfg):
     max_lag = int(math.ceil(sr / cfg.f0_min))
     min_lag = max(2, int(math.floor(sr / cfg.f0_max)))
     wlen = 2 * max_lag
-    nccf, base_energy, _ = _nccf_frames(x.samples, hop, wlen, max_lag)
+    nccf, base_energy = _nccf_frames(x.samples, hop, wlen, max_lag)
 
     energy_floor = wlen * cfg.silence_rms**2
     values = np.zeros(n_frames)
@@ -262,6 +262,36 @@ def test_tracker_with_fewer_than_three_lags_is_unvoiced():
     x = sine(400.0, 8000, 0.3)
     assert not estimate_f0(x, cfg).voiced.any()
     _assert_tracks_like_frozen(x, cfg)
+
+
+def _frozen_nccf_frames(x, hop, wlen, max_lag):
+    # the arithmetic of the version that kept every temporary alive
+    span = wlen + max_lag
+    segs = frame_view(x, hop, span // 2, span)
+    n_fft = 1 << (span - 1).bit_length()
+    spec_base = np.fft.rfft(segs[:, :wlen], n=n_fft, axis=1)
+    spec_seg = np.fft.rfft(segs, n=n_fft, axis=1)
+    corr = np.fft.irfft(np.conj(spec_base) * spec_seg, n=n_fft, axis=1)[:, : max_lag + 1]
+    sq = np.concatenate([np.zeros((len(segs), 1)), np.cumsum(segs * segs, axis=1)], axis=1)
+    lag_energy = sq[:, wlen : wlen + max_lag + 1] - sq[:, : max_lag + 1]
+    denom = np.sqrt(np.maximum(lag_energy[:, :1] * lag_energy, 1e-12))
+    return corr / denom, lag_energy[:, 0]
+
+
+@pytest.mark.parametrize("sr, hop", [(8000, 512), (22050, 256), (44100, 300)])
+def test_nccf_matches_frozen_nccf_and_owns_its_energy(sr, hop):
+    # base_energy must not be a view into the (frames, max_lag + 1) energy
+    # matrix, which would then stay alive through peak choice, smoothing and
+    # phase refinement; the values stay bit for bit those of the frozen copy
+    rng = np.random.default_rng(sr)
+    x = harmonic_tone(180.0, sr, 0.7, [0.5, 0.3, 0.1]).samples
+    x = x + 0.05 * rng.standard_normal(x.size)
+    max_lag = math.ceil(sr / 70.0)
+    nccf, base_energy = _nccf_frames(x, hop, 2 * max_lag, max_lag)
+    expected_nccf, expected_energy = _frozen_nccf_frames(x, hop, 2 * max_lag, max_lag)
+    assert base_energy.flags.owndata
+    assert nccf.tobytes() == expected_nccf.tobytes()
+    assert base_energy.tobytes() == expected_energy.tobytes()
 
 
 def test_tracker_matches_per_frame_tracker_at_the_edges():

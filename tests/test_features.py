@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from hnsynth.analysis import AnalysisConfig
+from hnsynth.config import build_tool_config
 from hnsynth.errors import FormatError
-from hnsynth.features import MAGIC, FeatureBundle, load_features, render_bundle, save_features
-from hnsynth.spectral import SpectralConfig
+from hnsynth.features import MAGIC, FeatureBundle, analyze_bundle, load_features, render_bundle, save_features
+from hnsynth.spectral import MelConfig, SpectralConfig, mel_filterbank, stft
 from hnsynth.synth import harmonic_synthesize, noise_synthesize
-from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum
+from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
 SPEC = SpectralConfig()
 ANA = AnalysisConfig(hop_size=SPEC.hop_size)
@@ -179,3 +180,22 @@ def test_render_bundle_sums_the_two_branches(rng):
     assert y.sample_rate == b.sample_rate
     assert np.array_equal(y.samples, harmonic.samples + noise.samples)
 
+
+
+@pytest.mark.parametrize("sample_rate", [22050, 44100])
+def test_white_noise_round_trip_keeps_every_mel_band_level(sample_rate):
+    # Random-phase frames overlap-add in power, not in amplitude, so analysis
+    # has to store magnitudes that the noise branch renders back at the
+    # input's level. The time-averaged power of each mel band is compared,
+    # over 4 s and 4 noise seeds so that the realisations' spread stays small.
+    tool = build_tool_config(sample_rate)
+    x = Waveform(0.1 * np.random.default_rng(3).standard_normal(4 * sample_rate), sample_rate)
+    bundle = analyze_bundle(x, tool.analysis, tool.spectral)
+    bands = mel_filterbank(sample_rate, MelConfig(spectral=tool.spectral))
+
+    def band_power(w):
+        return (np.abs(stft(w, tool.spectral)) ** 2 @ bands.T).mean(axis=0)
+
+    renders = [render_bundle(bundle, seed).samples[: len(x)] for seed in range(4)]
+    rendered = np.mean([band_power(Waveform(y, sample_rate)) for y in renders], axis=0)
+    assert np.abs(10 * np.log10(rendered / band_power(x))).max() < 0.5

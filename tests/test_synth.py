@@ -1,13 +1,18 @@
 """Synthesis core: phase accumulation, harmonic bank, and noise branch."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnsynth.analysis import estimate_initial_phases
-from hnsynth.spectral import SpectralConfig, stft
+from hnsynth.spectral import SpectralConfig, frame_anchor, stft
 from hnsynth.synth import (
+    _BLOCK_ROWS,
+    _SLICE_HARMONICS,
+    _phasor_blocks,
     cumulative_phase,
     harmonic_synthesize,
     interpolate_to_samples,
@@ -258,9 +263,9 @@ def test_bank_matches_per_column_reference(sr, hop, frames, k_max, top, seed, wi
     assert np.abs(got - _frozen_bank(f0, amps, sr, phi0)).max() <= 1e-9
 
 
-def test_bank_matches_per_column_reference_dense_15s():
-    # decoder-style: 15 s at 44.1 kHz, all 100 columns live, 1/k roll-off,
-    # vibrato and a glide, two unvoiced gaps, float32-rounded like a bundle
+def _dense_15s():
+    """Decoder-style features: 15 s at 44.1 kHz, all 100 columns live, 1/k
+    roll-off, vibrato and a glide, two unvoiced gaps, float32-rounded like a bundle."""
     sr, hop, k_max = 44100, 512, 100
     frames = -(-15 * sr // hop)
     rng = np.random.default_rng(15)
@@ -274,8 +279,59 @@ def test_bank_matches_per_column_reference_dense_15s():
     amps[gaps] = 0.0
     contour = F0Contour.from_values(f0, hop)
     harmonics = HarmonicAmplitudes(amps.astype(np.float32).astype(np.float64))
-    phi0 = InitialPhases.zeros(k_max)
+    return contour, harmonics, sr
+
+
+def test_bank_matches_per_column_reference_dense_15s():
+    contour, harmonics, sr = _dense_15s()
+    phi0 = InitialPhases.zeros(harmonics.k_max)
     got = harmonic_synthesize(contour, harmonics, sr).samples
+    assert np.abs(got - _frozen_bank(contour, harmonics, sr, phi0)).max() <= 1e-9
+
+
+def test_bank_memory_stays_bounded_dense_15s():
+    # The whole-length arrays (f0(n), its extended-precision running sum, the
+    # output) set the peak; the bank's per-block sine matrix and sums must stay
+    # well below it rather than grow with the block or the clip.
+    contour, harmonics, sr = _dense_15s()
+    tracemalloc.start()
+    try:
+        harmonic_synthesize(contour, harmonics, sr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
+
+
+@pytest.mark.parametrize("with_phi0", [False, True])
+def test_bank_matches_per_column_reference_across_block_edges(with_phi0):
+    # Frames are laid out by block (row r of the grid reads frames r-1 and r)
+    # so that each edge case of the per-block sine matrix occurs: block 0
+    # starts part-way through row 0 and the last block ends part-way through
+    # the tail row; column 4 is zero in block 0 and live from block 1 on, and
+    # column 2 is zero throughout; block 1 glides 600 -> 900 Hz, so harmonic 5
+    # crosses Nyquist inside it; block 2 turns unvoiced half-way through. The
+    # live harmonics fill more than one slice of the matrix.
+    rows = _BLOCK_ROWS
+    sr, hop, k_max = 8000, 15, 12
+    assert k_max - 2 > _SLICE_HARMONICS
+    frames = 3 * rows + rows // 2
+    rng = np.random.default_rng(7)
+    f0 = np.full(frames, 310.0)
+    f0[rows : 2 * rows] = np.linspace(600.0, 900.0, rows)
+    f0[2 * rows + rows // 2 : 3 * rows] = 0.0
+    amps = rng.uniform(0.1, 1.0, (frames, k_max))
+    amps[:, 1] = 0.0
+    amps[:rows, 3] = 0.0
+    contour, harmonics = F0Contour.from_values(f0, hop), HarmonicAmplitudes(amps)
+    phi0 = InitialPhases.wrapped(rng.uniform(-4, 4, k_max) if with_phi0 else np.zeros(k_max))
+
+    n = frames * hop
+    blocks = list(_phasor_blocks(contour, sr, n, k_max))
+    assert blocks[0].skip > 0 and blocks[-1].hi == n < frame_anchor(frames, hop)
+    assert blocks[1].k_free < 5 <= blocks[1].k_live
+    assert blocks[2].unvoiced is not None and not blocks[2].unvoiced.all()
+    got = harmonic_synthesize(contour, harmonics, sr, phi0).samples
     assert np.abs(got - _frozen_bank(contour, harmonics, sr, phi0)).max() <= 1e-9
 
 
