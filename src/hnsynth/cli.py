@@ -19,8 +19,8 @@ from .config import ToolConfig, build_tool_config, describe_schema, parse_config
 from .errors import FormatError
 from .features import analyze_bundle, load_features, render_bundle, save_features
 from .ioutil import atomic_write
-from .losses import f0_rmse, mel_l1
-from .spectral import multi_resolution_configs, multi_resolution_spectrograms
+from .losses import f0_rmse
+from .spectral import log_mel, multi_resolution_configs, multi_resolution_spectrograms
 from .types import F0Contour, Waveform
 from .wavio import WAV_FORMATS, read_wav, write_wav
 
@@ -86,16 +86,20 @@ def _emit_report(report: dict, path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _mrs_l1(a: Waveform, b: Waveform, fft_sizes) -> float:
-    cfgs = multi_resolution_configs(fft_sizes)
-    mags_a = multi_resolution_spectrograms(a, cfgs)
-    mags_b = multi_resolution_spectrograms(b, cfgs)
-    return float(np.mean([np.abs(x - y).mean() for x, y in zip(mags_a, mags_b)]))
-
-
 def _report(a: Waveform, b: Waveform, tool: ToolConfig, f0_b: F0Contour | None = None) -> dict:
-    """Metrics of a against b; f0_b is b's contour when the caller already has it."""
-    mel = mel_l1(a, b, tool.mel)
+    """Metrics of a against b; f0_b is b's contour when the caller already has it.
+
+    The mel STFT is usually one of the multi-resolution ones (1024/256 at
+    22.05 kHz, 2048/512 at 44.1 kHz), so each distinct config is taken once
+    per signal and the log-mel is built from its magnitudes.
+    """
+    mrs_cfgs = multi_resolution_configs(tool.mrs_fft_sizes)
+    cfgs = list(dict.fromkeys([tool.mel.spectral, *mrs_cfgs]))
+    mags_a = dict(zip(cfgs, multi_resolution_spectrograms(a, cfgs)))
+    mags_b = dict(zip(cfgs, multi_resolution_spectrograms(b, cfgs)))
+    mel_a = log_mel(mags_a[tool.mel.spectral], a.sample_rate, tool.mel)
+    mel_b = log_mel(mags_b[tool.mel.spectral], b.sample_rate, tool.mel)
+    mel = float(np.abs(mel_a - mel_b).mean())
     f0_a = estimate_f0(a, tool.analysis)
     if f0_b is None:
         f0_b = estimate_f0(b, tool.analysis)
@@ -103,7 +107,7 @@ def _report(a: Waveform, b: Waveform, tool: ToolConfig, f0_b: F0Contour | None =
         "mel_l1": mel,
         "dsp_loss": tool.weights.lambda_dsp * mel,
         "f0_rmse_hz": f0_rmse(f0_a, f0_b),
-        "mrs_l1": _mrs_l1(a, b, tool.mrs_fft_sizes),
+        "mrs_l1": float(np.mean([np.abs(mags_a[c] - mags_b[c]).mean() for c in mrs_cfgs])),
         "n_samples": len(a),
         "sample_rate": a.sample_rate,
     }

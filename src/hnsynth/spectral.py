@@ -18,11 +18,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as sps
 
 from .types import Waveform
 
-WINDOW_FAMILIES = ("hann", "hamming", "blackman", "blackmanharris")
+# Cosine-sum coefficients a_k of each window family, w = sum_k a_k cos(k * fac)
+# over fac in [-pi, pi]. Hamming's second term is 1.0 - 0.54, which is not the
+# double nearest 0.46: the windows are pinned bit for bit to a reference
+# implementation in tests/test_spectral.py.
+_COSINE_TERMS = {
+    "hann": (0.5, 0.5),
+    "hamming": (0.54, 1.0 - 0.54),
+    "blackman": (0.42, 0.50, 0.08),
+    "blackmanharris": (0.35875, 0.48829, 0.14128, 0.01168),
+}
+WINDOW_FAMILIES = tuple(_COSINE_TERMS)
+
+# Largest deviation of the overlap-added window from its median level that
+# still counts as constant overlap-add.
+_COLA_TOL = 1e-10
 
 # Denominator floor when normalizing overlap-added window energy; positions
 # below it receive zero output (only ever hit inside the synthetic padding).
@@ -31,7 +44,15 @@ _OLA_EPS = 1e-11
 
 @functools.lru_cache(maxsize=32)
 def _window(name: str, length: int) -> np.ndarray:
-    w = sps.get_window(name, length, fftbins=True)
+    """Periodic (DFT-even) window: the symmetric window of length + 1 minus its last point."""
+    if length <= 1:
+        w = np.ones(length)
+    else:
+        fac = np.linspace(-np.pi, np.pi, length + 1)
+        w = np.zeros(length + 1)
+        for k, a in enumerate(_COSINE_TERMS[name]):
+            w += a * np.cos(k * fac)
+        w = w[:-1]
     w.flags.writeable = False
     return w
 
@@ -100,10 +121,16 @@ class SpectralConfig:
         return padded
 
     def is_cola(self) -> bool:
-        """True when the window/hop pair satisfies constant overlap-add."""
-        return bool(
-            sps.check_COLA(_window(self.window, self.win_size), self.win_size, self.win_size - self.hop_size)
-        )
+        """True when the window/hop pair satisfies constant overlap-add.
+
+        Every hop-long slice of the window is summed into one period; the
+        pair is COLA when no sample of that period strays from its median.
+        """
+        w, n, hop = _window(self.window, self.win_size), self.win_size, self.hop_size
+        binsums = sum(w[i * hop : (i + 1) * hop] for i in range(n // hop))
+        if n % hop:
+            binsums[: n % hop] += w[-(n % hop) :]
+        return bool(np.max(np.abs(binsums - np.median(binsums))) < _COLA_TOL)
 
 
 def default_spectral(sample_rate: int) -> SpectralConfig:
@@ -252,11 +279,14 @@ def mel_filterbank(sample_rate: int, cfg: MelConfig) -> np.ndarray:
     return _mel_weights(int(sample_rate), cfg.spectral.fft_size, cfg.n_mels, float(cfg.f_min), float(f_max))
 
 
+def log_mel(mag: np.ndarray, sample_rate: int, cfg: MelConfig) -> np.ndarray:
+    """Log-compressed mel magnitudes of a magnitude STFT taken under cfg.spectral."""
+    energies = mag @ mel_filterbank(sample_rate, cfg).T
+    return np.log(np.maximum(energies, cfg.log_floor))
+
+
 def mel_spectrogram(x: Waveform, cfg: MelConfig) -> np.ndarray:
     """Log-compressed mel magnitudes, shape (frames, n_mels)."""
     if len(x) == 0:
         raise ValueError("cannot take the mel spectrogram of an empty signal")
-    fb = mel_filterbank(x.sample_rate, cfg)
-    mag = np.abs(stft(x, cfg.spectral))
-    energies = mag @ fb.T
-    return np.log(np.maximum(energies, cfg.log_floor))
+    return log_mel(np.abs(stft(x, cfg.spectral)), x.sample_rate, cfg)

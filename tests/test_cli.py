@@ -10,9 +10,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+from hnsynth import spectral
 from hnsynth.cli import cli_main
-from hnsynth.config import build_tool_config
+from hnsynth.config import build_tool_config, parse_config_file
 from hnsynth.features import MAGIC, FeatureBundle, load_features, save_features
+from hnsynth.losses import mel_l1
 from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 from hnsynth.wavio import read_wav, write_wav
 
@@ -96,6 +98,38 @@ def test_metrics_distinct_files_nonzero(tmp_path, tone_wav, capsys):
     assert report["mel_l1"] > 0.0
     assert report["dsp_loss"] == 45.0 * report["mel_l1"]
     assert report["f0_rmse_hz"] > 1.0
+
+
+@pytest.mark.parametrize("mrs_sizes, stfts", [(None, 6), ("512", 4)])
+def test_report_takes_each_distinct_stft_once(tmp_path, tone_wav, monkeypatch, capsys, mrs_sizes, stfts):
+    # at 22.05 kHz the mel STFT (1024/256) is also the middle multi-resolution
+    # one, so a default metrics call needs 3 STFTs per signal, not 4
+    x = read_wav(tone_wav)
+    other = tmp_path / "other.wav"
+    noise = np.random.default_rng(3).normal(0.0, 0.01, len(x))
+    write_wav(Waveform(0.7 * x.samples + noise, SR), other)
+    argv = ["metrics", str(tone_wav), str(other)]
+    if mrs_sizes:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mrs_fft_sizes = {mrs_sizes}\n")
+        argv += ["--config", str(cfg)]
+    taken = []
+    stft = spectral.stft
+    monkeypatch.setattr(spectral, "stft", lambda w, c: taken.append(c) or stft(w, c))
+    assert cli_main(argv) == 0
+    monkeypatch.undo()
+    assert len(taken) == stfts
+    report = json.loads(capsys.readouterr().out)
+
+    # the same values, bit for bit, as one STFT per metric and signal
+    a, b = x, read_wav(other)
+    tool = build_tool_config(SR, parse_config_file(argv[-1]) if mrs_sizes else {})
+    mel = mel_l1(a, b, tool.mel)
+    cfgs = spectral.multi_resolution_configs(tool.mrs_fft_sizes)
+    mags = zip(spectral.multi_resolution_spectrograms(a, cfgs), spectral.multi_resolution_spectrograms(b, cfgs))
+    assert report["mel_l1"] == mel
+    assert report["dsp_loss"] == tool.weights.lambda_dsp * mel
+    assert report["mrs_l1"] == float(np.mean([np.abs(p - q).mean() for p, q in mags]))
 
 
 def test_config_file_changes_analysis(tmp_path, tone_wav):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 from hnsynth.spectral import (
+    WINDOW_FAMILIES,
     MelConfig,
     SpectralConfig,
     default_spectral,
@@ -37,6 +39,31 @@ def test_config_rejects_bad_shapes():
         SpectralConfig(fft_size=512, hop_size=600, win_size=512)
     with pytest.raises(ValueError):
         SpectralConfig(window="kaiser")
+
+
+def _config(name, win, hop):
+    return SpectralConfig(fft_size=1 << (win - 1).bit_length(), hop_size=hop, win_size=win, window=name)
+
+
+@pytest.mark.parametrize("name", WINDOW_FAMILIES)
+def test_windows_equal_scipy_get_window(name):
+    for win in [*range(1, 301), 512, 1024, 2048, 4096]:
+        cfg = _config(name, win, 1)
+        off = (cfg.fft_size - win) // 2
+        assert np.array_equal(cfg.window_array()[off : off + win], sps.get_window(name, win, fftbins=True)), win
+
+
+def test_is_cola_agrees_with_scipy_check_cola():
+    checked = 0
+    for name in WINDOW_FAMILIES:
+        for win in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 31, 64, 100, 128, 255, 256, 384, 512, 1000, 1024, 2048):
+            for hop in {1, 2, 3, win // 8, win // 5, win // 4, win // 3, win // 2, win - 1, win}:
+                if not 1 <= hop <= win:
+                    continue
+                expected = sps.check_COLA(sps.get_window(name, win), win, win - hop)
+                assert _config(name, win, hop).is_cola() == expected, (name, win, hop)
+                checked += 1
+    assert checked > 600
 
 
 def test_frame_count_is_ceil_of_hops():
