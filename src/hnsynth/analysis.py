@@ -390,27 +390,19 @@ def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> InitialPh
     """Starting phase per harmonic that best aligns a resynthesis with x.
 
     Demodulates x against the accumulated fundamental phase, so the estimate
-    follows any f0 trajectory, not just constant pitch. Harmonics without
-    voiced in-band frames get phase 0. Walks the same blocks and per-block
-    Nyquist caps as the harmonic bank, with the conjugate phasor.
+    follows any f0 trajectory, not just constant pitch. The bank's walker
+    (_Block.harmonics), started from x instead of ones, silences the same unvoiced
+    and at-or-above-Nyquist pairs; a harmonic with no live pair gets phase 0.
     """
-    nyquist = x.sample_rate / 2.0
     n = min(len(x), f0.frames * f0.hop_size)
     acc = np.zeros(k_max, dtype=np.complex128)
     for b in _phasor_blocks(f0, x.sample_rate, n, k_max):
-        rot = np.conjugate(b.z, out=b.z)
-        demod = x.samples[b.lo : b.hi].astype(np.complex128)
-        if b.unvoiced is not None:
-            demod[b.unvoiced] = 0.0
-        for k in range(1, b.k_live + 1):
-            demod *= rot
-            # x ~ H sin(k psi + phi) = H cos(k psi + phi - pi/2); summing the
-            # demodulated signal over active samples leaves ~ (H/2) e^{i(phi - pi/2)}
-            if k <= b.k_free:
-                acc[k - 1] += demod.sum()
-            else:
-                acc[k - 1] += demod.sum(where=k * b.f0 < nyquist)
-    phases = np.where(acc != 0, np.angle(acc) + np.pi / 2, 0.0)
+        demods = b.harmonics(x.samples[b.lo : b.hi].astype(np.complex128), range(1, b.k_live + 1))
+        for k, demod in enumerate(demods, 1):
+            # x ~ H sin(k psi + phi) = H cos(k psi + phi - pi/2); summing x e^{ik psi}
+            # over the walk's live samples leaves ~ (H/2) e^{i(pi/2 - phi)}
+            acc[k - 1] += demod.sum()
+    phases = np.where(acc != 0, np.pi / 2 - np.angle(acc), 0.0)
     return InitialPhases.wrapped(phases)
 
 

@@ -136,9 +136,9 @@ def _cmd_resynth(args) -> int:
     bundle = analyze_bundle(x, tool.analysis, tool.spectral)
     rendered = render_bundle(bundle, seed=tool.seed)
     y = Waveform(rendered.samples[: len(x)], x.sample_rate)
-    clipped = write_wav(y, args.output, args.format)
+    # the report first, so a report that fails leaves no output WAV behind
     report = _report(y, x, tool, bundle.f0)
-    report["clipped_samples"] = clipped
+    report["clipped_samples"] = write_wav(y, args.output, args.format)
     _emit_report(report, args.report)
     return 0
 

@@ -15,17 +15,18 @@ once for the whole signal, as psi, its running sum, is whole-length anyway;
 the amplitude columns never are: the bank reads them as each row's start and
 slope.
 
-The bank walks the grid in blocks of a few dozen rows. Within a block it takes
-z = e^{i psi(n)} once and steps the harmonics by the phasor recurrence
-z_k = z_{k-1} * z, so sin(phi_k) is Im(z_k e^{i phi0_k}) and no harmonic calls
-sin; each live harmonic fills one row of a (harmonics, block samples) sine
-matrix. Any (sample, harmonic) pair whose frequency k*f0(n) reaches Nyquist
-contributes exactly zero. The cap is per block: harmonics at or above
-Nyquist / (block's min voiced f0) are silent and end the block's walk, and
-only those at or above Nyquist / (block's max f0) pay for the per-sample mask.
-A global cap cannot replace this, because interpolation ramps f0 to zero
-across half a hop into unvoiced frames, so every harmonic is live somewhere
-near every gap. Zero amplitude columns are skipped block by block.
+The bank walks the grid in blocks of a few dozen rows. In each block one
+walker, _Block.harmonics, takes z = e^{i psi(n)} once and steps the phasor
+recurrence z_k = z_{k-1} * z, so sin(phi_k) is Im(z_k e^{i phi0_k}) and no
+harmonic calls sin; each live harmonic fills one row of a (harmonics, block
+samples) sine matrix. The walker alone silences (sample, harmonic) pairs, for
+the bank and the phase fit (analysis.estimate_initial_phases) alike: z is 0 on
+unvoiced samples, and pairs whose k*f0(n) reaches Nyquist are zeroed. The cap
+is per block: harmonics at or above Nyquist / (block's min voiced f0) are never
+walked, and only those at or above Nyquist / (block's max f0) pay for the
+per-sample mask. A global cap cannot replace this, because interpolation ramps
+f0 to zero across half a hop into unvoiced frames, so every harmonic is live
+somewhere near every gap. Zero amplitude columns are skipped block by block.
 
 Offset j of grid row r reads amplitude start_k[r] + slope_k[r] * j for every
 harmonic, so the amplitudes are applied by a batched matrix product: the
@@ -124,11 +125,26 @@ class _Block(NamedTuple):
     hi: int  # one past the last sample
     rows: slice  # grid rows covering lo..hi
     skip: int  # samples of the first row that lie before lo
-    z: np.ndarray  # e^{i psi(n)} over lo..hi
+    z: np.ndarray  # e^{i psi(n)} over lo..hi, 0 on unvoiced samples
     f0: np.ndarray  # f0(n) over lo..hi
-    unvoiced: np.ndarray | None  # f0(n) == 0, or None when all of lo..hi is voiced
+    nyquist: float
     k_free: int  # harmonics 1..k_free stay below Nyquist on every sample
     k_live: int  # harmonics above k_live reach Nyquist on every voiced sample
+
+    def harmonics(self, start: np.ndarray, ks):
+        """Step start in place to start * z^k for each k of ks (ascending) and yield it.
+
+        Unvoiced pairs (z is 0) and pairs whose k*f0(n) reaches Nyquist are exactly
+        0; a sample at Nyquist for k is so for every higher k, so its zero carries on.
+        """
+        k = 0
+        for k_next in ks:
+            while k < k_next:
+                start *= self.z
+                k += 1
+            if k > self.k_free:
+                start[k * self.f0 >= self.nyquist] = 0.0
+            yield start
 
 
 def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
@@ -155,6 +171,7 @@ def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
         z = np.empty(hi - lo, dtype=np.complex128)
         np.cos(psi[lo:hi], out=z.real)
         np.sin(psi[lo:hi], out=z.imag)
+        z[~voiced] = 0.0
         yield _Block(
             lo=lo,
             hi=hi,
@@ -162,7 +179,7 @@ def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
             skip=lo - first,
             z=z,
             f0=f,
-            unvoiced=None if voiced.all() else ~voiced,
+            nyquist=nyquist,
             k_free=_harmonics_below(float(f.max()), nyquist, k_max),
             k_live=_harmonics_below(float(f[voiced].min()), nyquist, k_max),
         )
@@ -191,8 +208,7 @@ def harmonic_synthesize(
         phi0 = InitialPhases.zeros(k_max)
     if len(phi0) != k_max:
         raise ValueError(f"need {k_max} initial phases, got {len(phi0)}")
-    nyquist = sample_rate / 2.0
-    if f0.values.size and f0.values.max() >= nyquist:
+    if f0.values.size and f0.values.max() >= sample_rate / 2.0:
         raise ValueError("f0 values must stay below Nyquist for this sample rate")
 
     hop = f0.hop_size
@@ -218,29 +234,21 @@ def harmonic_synthesize(
         sines[:, : b.skip] = 0.0
         sines[:, b.skip + seg.size :] = 0.0
         sums = np.zeros((rows, 2, hop))
-        z = np.ones_like(b.z)
+        walk = zip(ks, b.harmonics(np.ones_like(b.z), ks))
         turned = None if turns is None else np.empty_like(b.z)
-        k = 0
         for first in range(0, ks.size, _SLICE_HARMONICS):
             part = ks[first : first + _SLICE_HARMONICS]
             wave = sines[: part.size, b.skip : b.skip + seg.size]
-            for row, k_next in enumerate(part):
-                while k < k_next:
-                    z *= b.z
-                    k += 1
+            # range first, so zip stops at the slice's end without stepping the walk
+            for row, (k, z) in zip(range(part.size), walk):
                 phasor = z if turned is None else np.multiply(z, turns[k - 1], out=turned)
                 np.copyto(wave[row], phasor.imag)
-            gated = np.searchsorted(part, b.k_free, side="right")
-            wave[gated:] *= part[gated:, None] * b.f0 < nyquist
             # (rows, 2, harmonics) @ (rows, harmonics, hop): per row, the sums
             # over the slice's harmonics of start * sine and slope * sine
             block = sines[: part.size].reshape(part.size, rows, hop).transpose(1, 0, 2)
             sums += coef[:, :, first : first + part.size] @ block
-        ramped = np.multiply(sums[:, 1], offsets)
-        ramped += sums[:, 0]
+        ramped = sums[:, 1] * offsets + sums[:, 0]
         seg += ramped.reshape(-1)[b.skip : b.skip + seg.size]
-        if b.unvoiced is not None:
-            seg[b.unvoiced] = 0.0
     return Waveform(out, sample_rate)
 
 

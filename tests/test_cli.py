@@ -81,6 +81,18 @@ def test_resynth_tone_reports_tight_mel(tmp_path, tone_wav, capsys):
     assert printed == report
 
 
+def test_resynth_whose_report_fails_writes_nothing(tmp_path, tone_wav, capsys):
+    # the config parses, but its mel band reaches past the 11.025 kHz Nyquist, so
+    # only the report's mel spectrogram rejects it, after the resynthesis
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("f_max = 20000\n")
+    out, report = tmp_path / "o.wav", tmp_path / "o.json"
+    argv = ["resynth", str(tone_wav), "-o", str(out), "--report", str(report), "--config", str(cfg)]
+    assert cli_main(argv) == 5
+    assert "mel band edges" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
 def test_metrics_identical_files_all_zero(tmp_path, tone_wav, capsys):
     assert cli_main(["metrics", str(tone_wav), str(tone_wav)]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -330,9 +330,36 @@ def test_bank_matches_per_column_reference_across_block_edges(with_phi0):
     blocks = list(_phasor_blocks(contour, sr, n, k_max))
     assert blocks[0].skip > 0 and blocks[-1].hi == n < frame_anchor(frames, hop)
     assert blocks[1].k_free < 5 <= blocks[1].k_live
-    assert blocks[2].unvoiced is not None and not blocks[2].unvoiced.all()
+    assert 0 < np.count_nonzero(blocks[2].f0) < blocks[2].f0.size
     got = harmonic_synthesize(contour, harmonics, sr, phi0).samples
     assert np.abs(got - _frozen_bank(contour, harmonics, sr, phi0)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("sr", [8000, 22050, 44100])
+def test_harmonic_walk_silences_unvoiced_and_nyquist_pairs(sr):
+    # block 0 holds a low pitch; block 1 glides to 0.2 * sr, so harmonics 3 and
+    # up cross Nyquist inside it; block 2 turns unvoiced half-way through
+    rows, hop, k_max = _BLOCK_ROWS, 16, 12
+    f0 = np.full(3 * rows, 0.02 * sr)
+    f0[rows : 2 * rows] = np.linspace(0.03 * sr, 0.2 * sr, rows)
+    f0[2 * rows + rows // 2 :] = 0.0
+    n = f0.size * hop
+    f0_samples = _frozen_interp(f0, hop, n)
+    psi = _frozen_psi(f0_samples, sr)
+    ks = np.array([1, 2, 3, 5, 6, 9, 12])  # sparse, so the walk steps over harmonics
+    rng = np.random.default_rng(sr)
+    seen_free = seen_gated = False
+    for b in _phasor_blocks(F0Contour.from_values(f0, hop), sr, n, k_max):
+        f, phase = f0_samples[b.lo : b.hi], psi[b.lo : b.hi]
+        start = rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size)
+        for k, got in zip(ks, b.harmonics(start.copy(), ks)):
+            live = (f > 0) & (k * f < sr / 2)
+            want = start * np.exp(1j * k * phase)
+            assert np.abs(got[live] - want[live]).max(initial=0.0) <= 1e-9
+            assert not got[~live].any()
+            seen_free |= k <= b.k_free and not live.all()
+            seen_gated |= k > b.k_free and live.any() and not live[f > 0].all()
+    assert seen_free and seen_gated
 
 
 @settings(max_examples=60, deadline=None)
