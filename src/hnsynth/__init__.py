@@ -37,12 +37,7 @@ from .spectral import (
     multi_resolution_spectrograms,
     stft,
 )
-from .synth import (
-    cumulative_phase,
-    harmonic_synthesize,
-    interpolate_to_samples,
-    noise_synthesize,
-)
+from .synth import cumulative_phase, harmonic_synthesize, noise_synthesize
 from .types import (
     F0Contour,
     HarmonicAmplitudes,
@@ -85,7 +80,6 @@ __all__ = [
     "estimate_noise",
     "f0_rmse",
     "harmonic_synthesize",
-    "interpolate_to_samples",
     "istft",
     "load_features",
     "mel_filterbank",

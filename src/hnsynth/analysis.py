@@ -318,9 +318,8 @@ def estimate_harmonics(
     # Readings far below the frame's strongest harmonic are indistinguishable
     # from noise or window-leakage skirts; drop them so the residual noise
     # model carries that energy instead of phantom sinusoids.
-    if cfg.harmonic_floor > 0:
-        floor = cfg.harmonic_floor * values.max(axis=1, keepdims=True)
-        values[values < floor] = 0.0
+    floor = cfg.harmonic_floor * values.max(axis=1, keepdims=True)
+    values[values < floor] = 0.0
     return HarmonicAmplitudes(values)
 
 
@@ -391,13 +390,18 @@ def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> InitialPh
 
     Demodulates x against the accumulated fundamental phase, so the estimate
     follows any f0 trajectory, not just constant pitch. The bank's walker
-    (_Block.harmonics), started from x instead of ones, silences the same unvoiced
-    and at-or-above-Nyquist pairs; a harmonic with no live pair gets phase 0.
+    (_Block.harmonics), started from x laid out on the bank's grid rows instead of
+    ones, silences the same unvoiced and at-or-above-Nyquist pairs, the grid
+    samples outside x among them; a harmonic with no live pair gets phase 0.
     """
-    n = min(len(x), f0.frames * f0.hop_size)
+    hop = f0.hop_size
+    n = min(len(x), f0.frames * hop)
+    lead = -frame_anchor(-1, hop)  # grid samples before sample 0
+    grid = np.zeros((f0.frames + 1, hop))
+    grid.reshape(-1)[lead : lead + n] = x.samples[:n]
     acc = np.zeros(k_max, dtype=np.complex128)
     for b in _phasor_blocks(f0, x.sample_rate, n, k_max):
-        demods = b.harmonics(x.samples[b.lo : b.hi].astype(np.complex128), range(1, b.k_live + 1))
+        demods = b.harmonics(grid[b.rows].astype(np.complex128).reshape(-1), range(1, b.k_live + 1))
         for k, demod in enumerate(demods, 1):
             # x ~ H sin(k psi + phi) = H cos(k psi + phi - pi/2); summing x e^{ik psi}
             # over the walk's live samples leaves ~ (H/2) e^{i(pi/2 - phi)}

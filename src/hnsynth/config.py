@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 from .analysis import AnalysisConfig
 from .errors import FormatError
 from .losses import LossWeights
-from .spectral import MRS_FFT_SIZES, MelConfig, SpectralConfig, default_spectral
+from .spectral import MRS_FFT_SIZES, MelConfig, SpectralConfig, default_spectral, mel_band
 
 
 def _parse_optional_float(text: str):
@@ -95,8 +95,9 @@ def _fields(cls, overrides: dict) -> dict:
 def build_tool_config(sample_rate: int, overrides: dict | None = None) -> ToolConfig:
     """Resolve per-rate defaults plus overrides into a ToolConfig.
 
-    Unknown keys raise; domain violations (negative sizes and the like)
-    surface as ValueError from the component config constructors.
+    Unknown keys raise; domain violations (negative sizes, a mel band past
+    the rate's Nyquist and the like) surface as ValueError from the component
+    config constructors and spectral.mel_band.
     """
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(SCHEMA)
@@ -105,6 +106,7 @@ def build_tool_config(sample_rate: int, overrides: dict | None = None) -> ToolCo
 
     spectral = replace(default_spectral(sample_rate), **_fields(SpectralConfig, overrides))
     mel = MelConfig(spectral=spectral, **_fields(MelConfig, overrides))
+    mel_band(sample_rate, mel)  # rejects a band outside 0 <= f_min < f_max <= Nyquist
     # The estimator's own default is one clean measurement pass; the tool adds
     # two correction passes. On the benchmark's long44k and phrases22k inputs
     # (seeds 1-2) they take the render's mel L1 against the input from 0.3275

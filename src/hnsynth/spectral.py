@@ -253,13 +253,20 @@ class MelConfig:
             raise ValueError("log_floor must be positive")
 
 
-@functools.lru_cache(maxsize=64)
-def _mel_weights(sample_rate: int, fft_size: int, n_mels: int, f_min: float, f_max: float) -> np.ndarray:
+def mel_band(sample_rate: int, cfg: MelConfig) -> tuple[float, float]:
+    """The (f_min, f_max) band edges of cfg at this rate, f_max None meaning Nyquist."""
+    f_min = float(cfg.f_min)
+    f_max = float(cfg.f_max) if cfg.f_max is not None else sample_rate / 2.0
     if not (0 <= f_min < f_max <= sample_rate / 2):
         raise ValueError(
             f"mel band edges must satisfy 0 <= f_min < f_max <= {sample_rate / 2}, "
             f"got f_min={f_min} f_max={f_max}"
         )
+    return f_min, f_max
+
+
+@functools.lru_cache(maxsize=64)
+def _mel_weights(sample_rate: int, fft_size: int, n_mels: int, f_min: float, f_max: float) -> np.ndarray:
     n_bins = fft_size // 2 + 1
     fft_freqs = np.linspace(0.0, sample_rate / 2.0, n_bins)
     mel_pts = np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)
@@ -275,8 +282,7 @@ def _mel_weights(sample_rate: int, fft_size: int, n_mels: int, f_min: float, f_m
 
 def mel_filterbank(sample_rate: int, cfg: MelConfig) -> np.ndarray:
     """(n_mels, n_bins) triangular filterbank for the config at this rate."""
-    f_max = cfg.f_max if cfg.f_max is not None else sample_rate / 2.0
-    return _mel_weights(int(sample_rate), cfg.spectral.fft_size, cfg.n_mels, float(cfg.f_min), float(f_max))
+    return _mel_weights(int(sample_rate), cfg.spectral.fft_size, cfg.n_mels, *mel_band(sample_rate, cfg))
 
 
 def log_mel(mag: np.ndarray, sample_rate: int, cfg: MelConfig) -> np.ndarray:

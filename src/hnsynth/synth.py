@@ -10,12 +10,14 @@ out as frames + 1 rows of hop samples whose boundaries fall on the frame
 anchors (spectral.frame_anchor), so row r holds the linear ramp from frame
 r-1 to frame r (row 0 is the constant lead-in, the last row the constant tail).
 One row index and one in-row offset then serve f0 and every amplitude column
-alike, with the arithmetic of np.interp over the anchors. f0(n) is laid out
-once for the whole signal, as psi, its running sum, is whole-length anyway;
-the amplitude columns never are: the bank reads them as each row's start and
-slope.
+alike, with the arithmetic of np.interp over the anchors: offset j of row r
+reads start[r] + slope[r] * j. The grid runs past the signal at both ends:
+row 0 starts hop - hop//2 samples before sample 0, and the tail row ends past
+the last sample. A walk lays f0(n) out on whole rows and sets it to 0 on the
+grid samples outside the signal, so those count as unvoiced like any other,
+and the bank crops its output from the grid once.
 
-The bank walks the grid in blocks of a few dozen rows. In each block one
+The bank walks the grid in blocks of a few dozen whole rows. In each block one
 walker, _Block.harmonics, takes z = e^{i psi(n)} once and steps the phasor
 recurrence z_k = z_{k-1} * z, so sin(phi_k) is Im(z_k e^{i phi0_k}) and no
 harmonic calls sin; each live harmonic fills one row of a (harmonics, block
@@ -28,13 +30,13 @@ per-sample mask. A global cap cannot replace this, because interpolation ramps
 f0 to zero across half a hop into unvoiced frames, so every harmonic is live
 somewhere near every gap. Zero amplitude columns are skipped block by block.
 
-Offset j of grid row r reads amplitude start_k[r] + slope_k[r] * j for every
-harmonic, so the amplitudes are applied by a batched matrix product: the
-(rows, 2, harmonics) start and slope coefficients times the sine matrix give
-sum_k start_k[r] sin(phi_k) and sum_k slope_k[r] sin(phi_k) for every sample
-of row r, and the ramp is applied once per sample, not once per harmonic. The
-matrix is filled and contracted a slice of a few harmonics at a time, the
-partial sums adding up, so each slice is still in cache when it is read back.
+Harmonic k's amplitude reads start_k[r] + slope_k[r] * j, so the amplitudes
+are applied by a batched matrix product: the (rows, 2, harmonics) start and
+slope coefficients times the sine matrix give sum_k start_k[r] sin(phi_k) and
+sum_k slope_k[r] sin(phi_k) for every sample of row r, and the ramp is
+applied once per sample, not once per harmonic. The matrix is filled and
+contracted a slice of a few harmonics at a time, the partial sums adding up,
+so each slice is still in cache when it is read back.
 
 The noise branch inverts a magnitude spectrogram with uniformly random phase.
 Both branches are pure functions; the noise branch is pure given its seed.
@@ -70,29 +72,6 @@ def _segment_grid(frame_values: np.ndarray, hop_size: int) -> tuple[np.ndarray, 
     return ext[:-1], (ext[1:] - ext[:-1]) / hop_size
 
 
-def interpolate_to_samples(frame_values, hop_size: int, out_len: int) -> np.ndarray:
-    """Piecewise-linear interpolation of per-frame values to sample rate.
-
-    Frame m anchors at sample frame_anchor(m, hop_size); the ends extend
-    the edge frame values as constants.
-    """
-    values = np.ascontiguousarray(frame_values, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("frame_values must be a non-empty 1-D sequence")
-    if hop_size <= 0:
-        raise ValueError("hop_size must be positive")
-    if out_len < 0 or out_len > values.size * hop_size:
-        raise ValueError(
-            f"out_len must lie in [0, frames*hop_size], got {out_len} for "
-            f"{values.size} frames of hop {hop_size}"
-        )
-    start, slope = _segment_grid(values, hop_size)
-    rows = slope[:, None] * np.arange(hop_size, dtype=np.float64)
-    rows += start[:, None]
-    lead = -frame_anchor(-1, hop_size)  # samples of row 0 before sample 0
-    return rows.reshape(-1)[lead : lead + out_len]
-
-
 def cumulative_phase(f, sample_rate: int) -> np.ndarray:
     """Unwrapped phase 2*pi * cumsum(f)/Sr, accumulated in extended precision.
 
@@ -119,14 +98,11 @@ def _harmonics_below(f: float, nyquist: float, k_max: int) -> int:
 
 
 class _Block(NamedTuple):
-    """One block of the segment grid, as the harmonic walks need it."""
+    """One block of whole segment-grid rows, as the harmonic walks need it."""
 
-    lo: int  # first sample
-    hi: int  # one past the last sample
-    rows: slice  # grid rows covering lo..hi
-    skip: int  # samples of the first row that lie before lo
-    z: np.ndarray  # e^{i psi(n)} over lo..hi, 0 on unvoiced samples
-    f0: np.ndarray  # f0(n) over lo..hi
+    rows: slice  # grid rows of the block
+    z: np.ndarray  # e^{i psi(n)} over the rows' samples, 0 on unvoiced samples
+    f0: np.ndarray  # f0(n) over the rows' samples, 0 outside the signal
     nyquist: float
     k_free: int  # harmonics 1..k_free stay below Nyquist on every sample
     k_live: int  # harmonics above k_live reach Nyquist on every voiced sample
@@ -148,35 +124,35 @@ class _Block(NamedTuple):
 
 
 def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
-    """Walk the first n samples of the segment grid in blocks of _BLOCK_ROWS rows.
+    """Walk the segment grid in blocks of _BLOCK_ROWS whole rows, for a signal of n samples.
 
-    Yields a _Block for every block with a voiced sample; the others carry no
-    harmonic at all.
+    f0(n) is 0 on the grid samples before sample 0 and from sample n on. Yields a
+    _Block for every block with a voiced sample; the others carry no harmonic.
     """
     hop = f0.hop_size
     nyquist = sample_rate / 2.0
-    f0n = interpolate_to_samples(f0.values, hop, n)
+    start, slope = _segment_grid(f0.values, hop)
+    f0n = slope[:, None] * np.arange(hop, dtype=np.float64)
+    f0n += start[:, None]
+    f0n = f0n.reshape(-1)
+    lead = -frame_anchor(-1, hop)  # grid samples before sample 0
+    f0n[:lead] = 0.0
+    f0n[lead + n :] = 0.0
     psi = cumulative_phase(f0n, sample_rate)
     total_rows = f0.frames + 1
     for r0 in range(0, total_rows, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, total_rows)
-        first = frame_anchor(r0 - 1, hop)  # row r starts on the anchor of frame r-1
-        lo, hi = max(first, 0), min(frame_anchor(r1 - 1, hop), n)
-        if lo >= hi:
-            break
-        f = f0n[lo:hi]
+        samples = slice(r0 * hop, r1 * hop)
+        f = f0n[samples]
         voiced = f > 0
         if not voiced.any():
             continue
-        z = np.empty(hi - lo, dtype=np.complex128)
-        np.cos(psi[lo:hi], out=z.real)
-        np.sin(psi[lo:hi], out=z.imag)
+        z = np.empty(f.size, dtype=np.complex128)
+        np.cos(psi[samples], out=z.real)
+        np.sin(psi[samples], out=z.imag)
         z[~voiced] = 0.0
         yield _Block(
-            lo=lo,
-            hi=hi,
             rows=slice(r0, r1),
-            skip=lo - first,
             z=z,
             f0=f,
             nyquist=nyquist,
@@ -217,7 +193,7 @@ def harmonic_synthesize(
     offsets = np.arange(hop, dtype=np.float64)
     turns = np.exp(1j * phi0.values) if phi0.values.any() else None
 
-    out = np.zeros(n)
+    grid = np.zeros((f0.frames + 1, hop))
     for b in _phasor_blocks(f0, sample_rate, n, k_max):
         start, slope = starts[b.rows], slopes[b.rows]
         live = (start != 0).any(axis=0) | (slope != 0).any(axis=0)
@@ -225,31 +201,25 @@ def harmonic_synthesize(
         if ks.size == 0:
             continue
         rows = start.shape[0]
-        seg = out[b.lo : b.hi]
         coef = np.stack((start[:, ks - 1], slope[:, ks - 1]), axis=1)
-        # one row of sin(k psi + phi0_k) per live harmonic of the slice, on whole
-        # grid rows; the samples of the first and last rows outside lo..hi feed
-        # only discarded outputs, and are zeroed so the product reads no garbage
+        # one row of sin(k psi + phi0_k) per live harmonic of the slice
         sines = np.empty((min(ks.size, _SLICE_HARMONICS), rows * hop))
-        sines[:, : b.skip] = 0.0
-        sines[:, b.skip + seg.size :] = 0.0
         sums = np.zeros((rows, 2, hop))
         walk = zip(ks, b.harmonics(np.ones_like(b.z), ks))
         turned = None if turns is None else np.empty_like(b.z)
         for first in range(0, ks.size, _SLICE_HARMONICS):
             part = ks[first : first + _SLICE_HARMONICS]
-            wave = sines[: part.size, b.skip : b.skip + seg.size]
             # range first, so zip stops at the slice's end without stepping the walk
             for row, (k, z) in zip(range(part.size), walk):
                 phasor = z if turned is None else np.multiply(z, turns[k - 1], out=turned)
-                np.copyto(wave[row], phasor.imag)
+                np.copyto(sines[row], phasor.imag)
             # (rows, 2, harmonics) @ (rows, harmonics, hop): per row, the sums
             # over the slice's harmonics of start * sine and slope * sine
             block = sines[: part.size].reshape(part.size, rows, hop).transpose(1, 0, 2)
             sums += coef[:, :, first : first + part.size] @ block
-        ramped = sums[:, 1] * offsets + sums[:, 0]
-        seg += ramped.reshape(-1)[b.skip : b.skip + seg.size]
-    return Waveform(out, sample_rate)
+        grid[b.rows] += sums[:, 1] * offsets + sums[:, 0]
+    lead = -frame_anchor(-1, hop)
+    return Waveform(grid.reshape(-1)[lead : lead + n], sample_rate)
 
 
 def noise_synthesize(

@@ -83,7 +83,7 @@ def test_resynth_tone_reports_tight_mel(tmp_path, tone_wav, capsys):
 
 def test_resynth_whose_report_fails_writes_nothing(tmp_path, tone_wav, capsys):
     # the config parses, but its mel band reaches past the 11.025 kHz Nyquist, so
-    # only the report's mel spectrogram rejects it, after the resynthesis
+    # the tool config for this rate rejects it
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("f_max = 20000\n")
     out, report = tmp_path / "o.wav", tmp_path / "o.json"
@@ -91,6 +91,16 @@ def test_resynth_whose_report_fails_writes_nothing(tmp_path, tone_wav, capsys):
     assert cli_main(argv) == 5
     assert "mel band edges" in capsys.readouterr().err
     assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("f_max, code", [(20000, 5), (SR / 2, 0)])
+def test_analyze_rejects_a_mel_band_past_nyquist(tmp_path, tone_wav, capsys, f_max, code):
+    cfg = tmp_path / "band.cfg"
+    cfg.write_text(f"f_max = {f_max}\n")
+    out = tmp_path / "o.hnsf"
+    assert cli_main(["analyze", str(tone_wav), "-o", str(out), "--config", str(cfg)]) == code
+    assert ("mel band edges" in capsys.readouterr().err) == (code == 5)
+    assert out.exists() == (code == 0)
 
 
 def test_metrics_identical_files_all_zero(tmp_path, tone_wav, capsys):

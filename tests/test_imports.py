@@ -51,3 +51,10 @@ def test_package_source_never_names_scipy():
         if "scipy" in line
     ]
     assert hits == []
+
+
+def test_every_exported_name_is_listed_once_and_resolves():
+    names = hnsynth.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(hnsynth, name)

@@ -15,7 +15,6 @@ from hnsynth.synth import (
     _phasor_blocks,
     cumulative_phase,
     harmonic_synthesize,
-    interpolate_to_samples,
     noise_synthesize,
 )
 from hnsynth.types import F0Contour, HarmonicAmplitudes, InitialPhases, NoiseMagnitudeSpectrum, Waveform
@@ -50,32 +49,6 @@ def test_cumulative_phase_rejects_negative_and_nonfinite():
         cumulative_phase(np.array([100.0, -1.0]), 8000)
     with pytest.raises(ValueError):
         cumulative_phase(np.array([np.nan]), 8000)
-
-
-# ------------------------------------------------------ interpolation
-
-def test_interpolation_hits_frame_anchors():
-    hop = 8
-    vals = np.array([1.0, 3.0, 2.0])
-    out = interpolate_to_samples(vals, hop, 24)
-    centers = np.arange(3) * hop + hop // 2
-    assert np.allclose(out[centers], vals)
-    # flat extension before the first and after the last anchor
-    assert np.allclose(out[: hop // 2], vals[0])
-    assert np.allclose(out[centers[-1]:], vals[-1])
-
-
-def test_interpolation_linear_between_anchors():
-    out = interpolate_to_samples(np.array([0.0, 1.0]), 4, 8)
-    # anchors at samples 2 and 6; midpoint sample 4 reads 0.5
-    assert out[4] == pytest.approx(0.5)
-
-
-def test_interpolation_validates_arguments():
-    with pytest.raises(ValueError):
-        interpolate_to_samples(np.zeros(0), 4, 4)
-    with pytest.raises(ValueError):
-        interpolate_to_samples(np.ones(2), 4, 100)
 
 
 # ---------------------------------------------------- harmonic bank
@@ -306,12 +279,12 @@ def test_bank_memory_stays_bounded_dense_15s():
 @pytest.mark.parametrize("with_phi0", [False, True])
 def test_bank_matches_per_column_reference_across_block_edges(with_phi0):
     # Frames are laid out by block (row r of the grid reads frames r-1 and r)
-    # so that each edge case of the per-block sine matrix occurs: block 0
-    # starts part-way through row 0 and the last block ends part-way through
-    # the tail row; column 4 is zero in block 0 and live from block 1 on, and
-    # column 2 is zero throughout; block 1 glides 600 -> 900 Hz, so harmonic 5
-    # crosses Nyquist inside it; block 2 turns unvoiced half-way through. The
-    # live harmonics fill more than one slice of the matrix.
+    # so that each edge case of the per-block sine matrix occurs: block 0's
+    # first row starts before sample 0 and the last block's tail row ends past
+    # the last sample, both voiced; column 4 is zero in block 0 and live from
+    # block 1 on, and column 2 is zero throughout; block 1 glides 600 -> 900 Hz,
+    # so harmonic 5 crosses Nyquist inside it; block 2 turns unvoiced half-way
+    # through. The live harmonics fill more than one slice of the matrix.
     rows = _BLOCK_ROWS
     sr, hop, k_max = 8000, 15, 12
     assert k_max - 2 > _SLICE_HARMONICS
@@ -328,7 +301,9 @@ def test_bank_matches_per_column_reference_across_block_edges(with_phi0):
 
     n = frames * hop
     blocks = list(_phasor_blocks(contour, sr, n, k_max))
-    assert blocks[0].skip > 0 and blocks[-1].hi == n < frame_anchor(frames, hop)
+    # row r starts on the anchor of frame r - 1 and ends on that of frame r
+    assert frame_anchor(blocks[0].rows.start - 1, hop) < 0
+    assert frame_anchor(blocks[-1].rows.stop - 1, hop) > n
     assert blocks[1].k_free < 5 <= blocks[1].k_live
     assert 0 < np.count_nonzero(blocks[2].f0) < blocks[2].f0.size
     got = harmonic_synthesize(contour, harmonics, sr, phi0).samples
@@ -338,28 +313,37 @@ def test_bank_matches_per_column_reference_across_block_edges(with_phi0):
 @pytest.mark.parametrize("sr", [8000, 22050, 44100])
 def test_harmonic_walk_silences_unvoiced_and_nyquist_pairs(sr):
     # block 0 holds a low pitch; block 1 glides to 0.2 * sr, so harmonics 3 and
-    # up cross Nyquist inside it; block 2 turns unvoiced half-way through
+    # up cross Nyquist inside it; block 2 has an unvoiced run in its middle. The
+    # contour is voiced at both ends, so the grid samples before sample 0 and
+    # from sample n on are silent because they lie outside the signal, whether
+    # n is the contour's length or, as in the phase fit of a shorter signal, less.
     rows, hop, k_max = _BLOCK_ROWS, 16, 12
     f0 = np.full(3 * rows, 0.02 * sr)
     f0[rows : 2 * rows] = np.linspace(0.03 * sr, 0.2 * sr, rows)
-    f0[2 * rows + rows // 2 :] = 0.0
-    n = f0.size * hop
-    f0_samples = _frozen_interp(f0, hop, n)
-    psi = _frozen_psi(f0_samples, sr)
+    f0[2 * rows + rows // 4 : 2 * rows + 3 * rows // 4] = 0.0
+    lead = -frame_anchor(-1, hop)
     ks = np.array([1, 2, 3, 5, 6, 9, 12])  # sparse, so the walk steps over harmonics
     rng = np.random.default_rng(sr)
-    seen_free = seen_gated = False
-    for b in _phasor_blocks(F0Contour.from_values(f0, hop), sr, n, k_max):
-        f, phase = f0_samples[b.lo : b.hi], psi[b.lo : b.hi]
-        start = rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size)
-        for k, got in zip(ks, b.harmonics(start.copy(), ks)):
-            live = (f > 0) & (k * f < sr / 2)
-            want = start * np.exp(1j * k * phase)
-            assert np.abs(got[live] - want[live]).max(initial=0.0) <= 1e-9
-            assert not got[~live].any()
-            seen_free |= k <= b.k_free and not live.all()
-            seen_gated |= k > b.k_free and live.any() and not live[f > 0].all()
-    assert seen_free and seen_gated
+    for n in (f0.size * hop, f0.size * hop - 3 * hop - 5):
+        f0_samples = _frozen_interp(f0, hop, n)
+        psi = _frozen_psi(f0_samples, sr)
+        seen_free = seen_gated = False
+        seen_outside = set()
+        for b in _phasor_blocks(F0Contour.from_values(f0, hop), sr, n, k_max):
+            sample = np.arange(b.rows.start * hop, b.rows.stop * hop) - lead
+            inside = (sample >= 0) & (sample < n)
+            f, phase = np.zeros(sample.size), np.zeros(sample.size)
+            f[inside], phase[inside] = f0_samples[sample[inside]], psi[sample[inside]]
+            start = rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size)
+            for k, got in zip(ks, b.harmonics(start.copy(), ks)):
+                live = inside & (f > 0) & (k * f < sr / 2)
+                want = start * np.exp(1j * k * phase)
+                assert np.abs(got[live] - want[live]).max(initial=0.0) <= 1e-9
+                assert not got[~live].any()
+                seen_free |= k <= b.k_free and not live.all()
+                seen_gated |= k > b.k_free and live.any() and not live[f > 0].all()
+            seen_outside.update(np.sign(sample[~inside]))
+        assert seen_free and seen_gated and seen_outside == {-1, 1}
 
 
 @settings(max_examples=60, deadline=None)
