@@ -7,9 +7,9 @@ built, peak choice, lobe fit, smoothing and refinement each treat all frames
 (or a block of them) in one pass, with no Python loop over frames. Harmonic
 amplitudes are read off the magnitude STFT by local peak interpolation and
 window-gain normalization, so a unit-amplitude sinusoid measures as ~1.
-The noise spectrum is the magnitude STFT of the residual after subtracting a
-phase-aligned harmonic reconstruction; analyze scales it by sqrt(fft / hop)
-so that the random-phase noise branch renders it at the measured level.
+The noise spectrum is the root of the STFT power x holds beyond the harmonic
+reconstruction (spectral subtraction, Boll 1979), so no phase has to line up;
+analyze scales it by sqrt(fft / hop) so the noise branch renders that level.
 
 All frame-level outputs take the frame count and the frame anchor from the
 spectral module's frame grid, so contours, amplitude matrices, and STFTs of the
@@ -393,6 +393,8 @@ def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> InitialPh
     (_Block.harmonics), started from x laid out on the bank's grid rows instead of
     ones, silences the same unvoiced and at-or-above-Nyquist pairs, the grid
     samples outside x among them; a harmonic with no live pair gets phase 0.
+    analyze does not call it; it stays, paired with harmonic_synthesize's phi0,
+    while the benchmark's tracer (bench/tracer.py) lists it among its targets.
     """
     hop = f0.hop_size
     n = min(len(x), f0.frames * hop)
@@ -411,15 +413,15 @@ def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> InitialPh
 
 
 def estimate_noise(x: Waveform, harmonic: Waveform, spectral: SpectralConfig) -> NoiseMagnitudeSpectrum:
-    """Magnitude STFT of the residual x - harmonic."""
+    """Magnitude of x beyond the harmonic part, by power: sqrt(max(|X|^2 - |H|^2, 0)) per cell."""
     if len(x) != len(harmonic):
         raise ValueError(f"length mismatch: {len(x)} vs {len(harmonic)}")
     if x.sample_rate != harmonic.sample_rate:
         raise ValueError(
             f"sample rate mismatch: {x.sample_rate} vs {harmonic.sample_rate}"
         )
-    residual = Waveform(x.samples - harmonic.samples, x.sample_rate)
-    return NoiseMagnitudeSpectrum(np.abs(stft(residual, spectral)))
+    power = np.abs(stft(x, spectral)) ** 2 - np.abs(stft(harmonic, spectral)) ** 2
+    return NoiseMagnitudeSpectrum(np.sqrt(np.maximum(power, 0.0)))
 
 
 def analyze(
@@ -429,10 +431,9 @@ def analyze(
 ) -> tuple[F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum]:
     """Full feature extraction: F0 contour, harmonic amplitudes, noise spectrum.
 
-    The residual driving the noise spectrum subtracts a harmonic reconstruction
-    whose initial phases were fitted to x; the returned features themselves stay
-    amplitude-only. The noise magnitudes are scaled so that noise_synthesize
-    renders the residual at its own level.
+    The noise spectrum is x's power beyond the harmonic reconstruction's
+    (estimate_noise), so no phase is fitted and the features are amplitude-only;
+    it is scaled so that noise_synthesize renders it at its own level.
     """
     if cfg.hop_size != spectral.hop_size:
         raise ValueError(
@@ -440,10 +441,8 @@ def analyze(
         )
     f0 = estimate_f0(x, cfg)
     harmonics = estimate_harmonics(x, f0, cfg, spectral)
-    phi0 = estimate_initial_phases(x, f0, harmonics.k_max)
-    rendered = harmonic_synthesize(f0, harmonics, x.sample_rate, phi0)
-    aligned = Waveform(rendered.samples[: len(x)], x.sample_rate)
-    residual = estimate_noise(x, aligned, spectral)
+    rendered = harmonic_synthesize(f0, harmonics, x.sample_rate)
+    residual = estimate_noise(x, Waveform(rendered.samples[: len(x)], x.sample_rate), spectral)
     # Frames under independent random phases overlap-add in power, so the noise
     # branch renders sqrt(hop / fft) of the magnitudes it is given; store what
     # it needs to render the residual at the level measured here.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 from .analysis import AnalysisConfig
 from .errors import FormatError
 from .losses import LossWeights
-from .spectral import MRS_FFT_SIZES, MelConfig, SpectralConfig, default_spectral, mel_band
+from .spectral import MRS_FFT_SIZES, MelConfig, SpectralConfig, default_spectral, mel_band, require_cola
 
 
 def _parse_optional_float(text: str):
@@ -95,9 +95,10 @@ def _fields(cls, overrides: dict) -> dict:
 def build_tool_config(sample_rate: int, overrides: dict | None = None) -> ToolConfig:
     """Resolve per-rate defaults plus overrides into a ToolConfig.
 
-    Unknown keys raise; domain violations (negative sizes, a mel band past
-    the rate's Nyquist and the like) surface as ValueError from the component
-    config constructors and spectral.mel_band.
+    Unknown keys raise; domain violations (negative sizes, a window/hop pair
+    that fails constant overlap-add, a mel band past the rate's Nyquist and
+    the like) surface as ValueError from the component config constructors,
+    spectral.require_cola and spectral.mel_band.
     """
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(SCHEMA)
@@ -105,12 +106,14 @@ def build_tool_config(sample_rate: int, overrides: dict | None = None) -> ToolCo
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
     spectral = replace(default_spectral(sample_rate), **_fields(SpectralConfig, overrides))
+    require_cola(spectral)  # the noise branch's inverse STFT needs it
     mel = MelConfig(spectral=spectral, **_fields(MelConfig, overrides))
     mel_band(sample_rate, mel)  # rejects a band outside 0 <= f_min < f_max <= Nyquist
     # The estimator's own default is one clean measurement pass; the tool adds
-    # two correction passes. On the benchmark's long44k and phrases22k inputs
-    # (seeds 1-2) they take the render's mel L1 against the input from 0.3275
-    # to 0.3094 and from 0.4643 to 0.4510, at 1.9x and 1.7x the analysis time.
+    # two correction passes. On the benchmark's inputs (seeds 1 and 2, mean mel
+    # L1 of the render against the input) they take long44k from 0.1438 and
+    # 0.1410 to 0.1343 and 0.1314, and phrases22k from 0.2050 and 0.2069 to
+    # 0.1933 and 0.1967, at 2.3-3.1x the analyze time (2 CPUs, best of 3).
     analysis = AnalysisConfig(
         **{"refine_iters": 2, **_fields(AnalysisConfig, overrides), "hop_size": spectral.hop_size}
     )

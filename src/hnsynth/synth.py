@@ -171,7 +171,9 @@ def harmonic_synthesize(
 
     Output length is frames * hop_size. Any (sample, harmonic) pair whose
     frequency k*f0(n) reaches Nyquist contributes exactly zero, as do all
-    harmonics wherever the interpolated f0 is zero (unvoiced regions).
+    harmonics wherever the interpolated f0 is zero (unvoiced regions). phi0
+    (zeros by default) pairs with analysis.estimate_initial_phases; neither
+    the CLI nor render_bundle passes it.
     """
     if sample_rate <= 0:
         raise ValueError("sample_rate must be positive")

@@ -456,22 +456,36 @@ def test_noise_zero_harmonic_returns_signal_spectrum(rng):
     assert np.array_equal(n.values, np.abs(stft(x, SPECTRAL)))
 
 
-def test_noise_mixture_energy_within_20_percent():
+def _noisy_tone_analysis():
+    """A 220 Hz sine in white noise, its noise alone, and the contour and amplitudes of x."""
     rng = np.random.default_rng(2024)
     clean = 0.3 * sine(220.0, SR, 2.0).samples
     noise = 0.15 * rng.standard_normal(clean.size)
     x = Waveform(clean + noise, SR)
-
     f0 = estimate_f0(x, ANA_REFINED)
-    harm = estimate_harmonics(x, f0, ANA_REFINED, SPECTRAL)
-    phi0 = estimate_initial_phases(x, f0, harm.k_max)
-    rendered = harmonic_synthesize(f0, harm, SR, phi0)
-    aligned = Waveform(rendered.samples[: len(x)], SR)
-    est = estimate_noise(x, aligned, SPECTRAL)
+    return x, noise, f0, estimate_harmonics(x, f0, ANA_REFINED, SPECTRAL)
 
+
+def _noise_energy_ratio(x, noise, rendered):
+    est = estimate_noise(x, Waveform(rendered.samples[: len(x)], SR), SPECTRAL)
     true_energy = (np.abs(stft(Waveform(noise, SR), SPECTRAL)) ** 2).sum()
-    est_energy = (est.values**2).sum()
-    assert 0.8 < est_energy / true_energy < 1.2
+    return (est.values**2).sum() / true_energy
+
+
+def test_noise_mixture_energy_within_20_percent():
+    x, noise, f0, harm = _noisy_tone_analysis()
+    assert 0.8 < _noise_energy_ratio(x, noise, harmonic_synthesize(f0, harm, SR)) < 1.2
+
+
+def test_noise_energy_holds_when_the_harmonic_render_misses_x_phases():
+    # The estimate subtracts power, so a render in antiphase with x's harmonic
+    # part, or at unrelated phases, leaves the same noise as an aligned one.
+    x, noise, f0, harm = _noisy_tone_analysis()
+    antiphase = estimate_initial_phases(x, f0, harm.k_max).values + np.pi
+    unrelated = np.random.default_rng(7).uniform(-np.pi, np.pi, harm.k_max)
+    for phases in (antiphase, unrelated):
+        rendered = harmonic_synthesize(f0, harm, SR, InitialPhases.wrapped(phases))
+        assert 0.8 < _noise_energy_ratio(x, noise, rendered) < 1.2
 
 
 def test_noise_length_mismatch_rejected(rng):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from hnsynth import spectral
+from hnsynth import analysis, cli, spectral
 from hnsynth.cli import cli_main
 from hnsynth.config import build_tool_config, parse_config_file
 from hnsynth.features import MAGIC, FeatureBundle, load_features, save_features
@@ -81,6 +81,41 @@ def test_resynth_tone_reports_tight_mel(tmp_path, tone_wav, capsys):
     assert printed == report
 
 
+def _two_note_phrase():
+    """Two notes of different f0 (196 and 294 Hz, vibrato, 1/k roll-off) with
+    silent gaps before, between and after them, over a white noise floor."""
+    rng = np.random.default_rng(1)
+
+    def note(f0, seconds):
+        t = np.arange(int(seconds * SR)) / SR
+        phase = 2 * np.pi * np.cumsum(f0 * (1 + 0.015 * np.sin(2 * np.pi * 5.5 * t))) / SR
+        env = np.minimum(1.0, np.minimum(t / 0.05, (seconds - t) / 0.08))
+        ks = [k for k in range(1, 16) if k * f0 < 0.45 * SR]
+        return env * sum(np.sin(k * phase + rng.uniform(0, 2 * np.pi)) / k for k in ks)
+
+    gap = np.zeros(int(0.3 * SR))
+    x = np.concatenate([gap, 0.3 * note(196.0, 1.0), gap, 0.3 * note(294.0, 1.0), gap])
+    return Waveform(x + 0.002 * rng.standard_normal(x.size), SR)
+
+
+def test_resynth_of_two_notes_with_a_gap_keeps_the_input_level(tmp_path, monkeypatch, capsys):
+    # One initial phase per harmonic cannot align both notes, so a noise estimate
+    # that subtracted a phase-aligned render kept harmonic energy the noise branch
+    # then rendered a second time: +3.4 dB and 298 clipped samples on this input.
+    def no_phase_fit(*args):
+        raise AssertionError("analyze fitted initial phases")
+
+    monkeypatch.setattr(analysis, "estimate_initial_phases", no_phase_fit)
+    src, out, report = tmp_path / "in.wav", tmp_path / "out.wav", tmp_path / "report.json"
+    write_wav(_two_note_phrase(), src)
+    assert cli_main(["resynth", str(src), "-o", str(out), "--report", str(report)]) == 0
+    capsys.readouterr()
+    x, y = read_wav(src).samples, read_wav(out).samples
+    level_db = 10 * math.log10(np.mean(y**2) / np.mean(x**2))
+    assert abs(level_db) < 0.5
+    assert json.loads(report.read_text())["clipped_samples"] == 0
+
+
 def test_resynth_whose_report_fails_writes_nothing(tmp_path, tone_wav, capsys):
     # the config parses, but its mel band reaches past the 11.025 kHz Nyquist, so
     # the tool config for this rate rejects it
@@ -101,6 +136,22 @@ def test_analyze_rejects_a_mel_band_past_nyquist(tmp_path, tone_wav, capsys, f_m
     assert cli_main(["analyze", str(tone_wav), "-o", str(out), "--config", str(cfg)]) == code
     assert ("mel band edges" in capsys.readouterr().err) == (code == 5)
     assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command", ["analyze", "resynth"])
+def test_a_window_hop_pair_that_fails_cola_exits_5_before_analysis(tmp_path, tone_wav, monkeypatch, capsys, command):
+    # a 1024-sample Hann window does not overlap-add to a constant at hop 500,
+    # so no bundle analysed with it could be rendered
+    def no_analysis(*args):
+        raise AssertionError("analysis ran")
+
+    monkeypatch.setattr(cli, "analyze_bundle", no_analysis)
+    cfg = tmp_path / "hop.cfg"
+    cfg.write_text("hop_size = 500\n")
+    out = tmp_path / "o.out"
+    assert cli_main([command, str(tone_wav), "-o", str(out), "--config", str(cfg)]) == 5
+    assert "constant overlap-add" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_metrics_identical_files_all_zero(tmp_path, tone_wav, capsys):

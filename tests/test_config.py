@@ -90,6 +90,8 @@ def test_domain_violations_surface_as_value_error():
         build_tool_config(22050, {"mrs_fft_sizes": (500,)})
     with pytest.raises(ValueError):
         build_tool_config(22050, {"seed": -3})
+    with pytest.raises(ValueError, match="constant overlap-add"):
+        build_tool_config(22050, {"hop_size": 500})
 
 
 def test_schema_doc_covers_every_key():
