@@ -22,7 +22,7 @@ from .ioutil import atomic_write
 from .losses import f0_rmse
 from .spectral import log_mel, multi_resolution_configs, multi_resolution_spectrograms
 from .types import F0Contour, Waveform
-from .wavio import WAV_FORMATS, read_wav, write_wav
+from .wavio import WAV_FORMATS, quantize, read_wav, write_wav
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,10 +135,11 @@ def _cmd_resynth(args) -> int:
     tool = _tool_config(args, x.sample_rate)
     bundle = analyze_bundle(x, tool.analysis, tool.spectral)
     rendered = render_bundle(bundle, seed=tool.seed)
-    y = Waveform(rendered.samples[: len(x)], x.sample_rate)
-    # the report first, so a report that fails leaves no output WAV behind
+    # score the samples as written, before writing them: a report that fails leaves no WAV
+    y, clipped = quantize(Waveform(rendered.samples[: len(x)], x.sample_rate), args.format)
     report = _report(y, x, tool, bundle.f0)
-    report["clipped_samples"] = write_wav(y, args.output, args.format)
+    report["clipped_samples"] = clipped
+    write_wav(y, args.output, args.format)
     _emit_report(report, args.report)
     return 0
 

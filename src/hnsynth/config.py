@@ -43,7 +43,6 @@ SCHEMA = {
     "k_max": (int, "number of harmonics analyzed and synthesized"),
     "peak_halfwidth_bins": (int, "half-width of the spectral peak search around k*f0"),
     "refine_iters": (int, "multiplicative amplitude refinement passes"),
-    "harmonic_floor": (float, "relative floor below which harmonic readings are zeroed"),
     "voicing_threshold": (float, "minimum normalized autocorrelation for a voiced frame"),
     "silence_rms": (float, "frame RMS below which frames are unvoiced outright"),
     "median_width": (int, "odd length of the F0 median/mean smoothing windows"),
@@ -109,14 +108,7 @@ def build_tool_config(sample_rate: int, overrides: dict | None = None) -> ToolCo
     require_cola(spectral)  # the noise branch's inverse STFT needs it
     mel = MelConfig(spectral=spectral, **_fields(MelConfig, overrides))
     mel_band(sample_rate, mel)  # rejects a band outside 0 <= f_min < f_max <= Nyquist
-    # The estimator's own default is one clean measurement pass; the tool adds
-    # two correction passes. On the benchmark's inputs (seeds 1 and 2, mean mel
-    # L1 of the render against the input) they take long44k from 0.1438 and
-    # 0.1410 to 0.1343 and 0.1314, and phrases22k from 0.2050 and 0.2069 to
-    # 0.1933 and 0.1967, at 2.3-3.1x the analyze time (2 CPUs, best of 3).
-    analysis = AnalysisConfig(
-        **{"refine_iters": 2, **_fields(AnalysisConfig, overrides), "hop_size": spectral.hop_size}
-    )
+    analysis = AnalysisConfig(**{**_fields(AnalysisConfig, overrides), "hop_size": spectral.hop_size})
     weights = LossWeights(**_fields(LossWeights, overrides))
     mrs = tuple(overrides.get("mrs_fft_sizes", MRS_FFT_SIZES))
     for n in mrs:

@@ -171,7 +171,9 @@ def load_features(path) -> FeatureBundle:
         if spectral_fields.pop("center", True) is not True:
             raise FormatError(f"{path}: uncentered framing (spectral.center) is not supported")
         spectral = _header_config(SpectralConfig, spectral_fields, "spectral", path)
-        analysis = _header_config(AnalysisConfig, {**header["analysis"]}, "analysis", path)
+        analysis_fields = {**header["analysis"]}
+        analysis_fields.pop("harmonic_floor", None)  # a retired knob: relative floor on harmonic readings
+        analysis = _header_config(AnalysisConfig, analysis_fields, "analysis", path)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: incomplete header: {exc}") from exc
     except (ValueError, OverflowError) as exc:

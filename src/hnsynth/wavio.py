@@ -165,13 +165,10 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, rate)
 
 
-def write_wav(x: Waveform, path, format: str = "float32") -> int:
-    """Write the waveform, clipping to [-1, 1]; returns the clipped-sample count.
+def quantize(x: Waveform, format: str) -> tuple[Waveform, int]:
+    """x clipped to [-1, 1] and rounded as a WAV of this format stores it, and the clipped count.
 
-    PCM16 output quantizes with round-to-nearest, so a read_wav round trip is
-    exact for float32 and within 1/32768 per sample for pcm16. The file is a
-    canonical mono RIFF WAV: a 16-byte PCM fmt chunk, or for float32 an
-    18-byte fmt chunk and a fact chunk holding the frame count.
+    read_wav of the file write_wav makes from x returns exactly these samples.
     """
     if format not in WAV_FORMATS:
         raise ValueError(f"unknown WAV format {format!r}, expected one of {WAV_FORMATS}")
@@ -179,10 +176,24 @@ def write_wav(x: Waveform, path, format: str = "float32") -> int:
     clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
     samples = np.clip(samples, -1.0, 1.0)
     if format == "pcm16":
-        data = np.clip(np.rint(samples * _PCM16_SCALE), -32768, 32767).astype("<i2")
+        samples = np.clip(np.rint(samples * _PCM16_SCALE), -32768, 32767) / _PCM16_SCALE
+    else:
+        samples = samples.astype(np.float32)  # Waveform widens it back to float64 exactly
+    return Waveform(samples, x.sample_rate), clipped
+
+
+def write_wav(x: Waveform, path, format: str = "float32") -> int:
+    """Write quantize(x, format) to path; returns the clipped-sample count.
+
+    The file is a canonical mono RIFF WAV: a 16-byte PCM fmt chunk, or for
+    float32 an 18-byte fmt chunk and a fact chunk holding the frame count.
+    """
+    quantized, clipped = quantize(x, format)
+    if format == "pcm16":
+        data = (quantized.samples * _PCM16_SCALE).astype("<i2")
         tag, cb_size, fact = _PCM, b"", b""
     else:
-        data = samples.astype("<f4")
+        data = quantized.samples.astype("<f4")
         tag, cb_size, fact = _IEEE_FLOAT, b"\x00\x00", b"fact" + struct.pack("<II", 4, len(data))
     # the header stores rate * bytes per sample as a uint32 byte rate
     if x.sample_rate * data.itemsize >= 2**32:

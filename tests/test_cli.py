@@ -81,6 +81,30 @@ def test_resynth_tone_reports_tight_mel(tmp_path, tone_wav, capsys):
     assert printed == report
 
 
+def test_resynth_tone_does_not_clip(tmp_path, tone_wav, capsys):
+    # the tone peaks at 0.99; a noise estimate that subtracted powers turned its
+    # small peak-reading errors into noise that pushed 8 samples past full scale
+    out, report = tmp_path / "out.wav", tmp_path / "report.json"
+    assert cli_main(["resynth", str(tone_wav), "-o", str(out), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert json.loads(report.read_text())["clipped_samples"] == 0
+
+
+@pytest.mark.parametrize("fmt", ["float32", "pcm16"])
+def test_resynth_report_scores_the_samples_as_written(tmp_path, capsys, fmt):
+    # a tone peaking at 1.3 clips whatever the analysis does
+    src, out, report = tmp_path / "in.wav", tmp_path / "out.wav", tmp_path / "report.json"
+    wavfile.write(src, SR, harmonic_tone(220.0, SR, 1.0, [1.3]).samples.astype(np.float32))
+    assert cli_main(["resynth", str(src), "-o", str(out), "--format", fmt, "--report", str(report)]) == 0
+    capsys.readouterr()
+    resynth = json.loads(report.read_text())
+    assert resynth["clipped_samples"] > 0
+    assert cli_main(["metrics", str(out), str(src)]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    for key in ("mel_l1", "mrs_l1", "f0_rmse_hz"):
+        assert resynth[key] == pytest.approx(metrics[key], rel=0, abs=1e-12)
+
+
 def _two_note_phrase():
     """Two notes of different f0 (196 and 294 Hz, vibrato, 1/k roll-off) with
     silent gaps before, between and after them, over a white noise floor."""

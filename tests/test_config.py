@@ -2,13 +2,17 @@
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from hnsynth.analysis import AnalysisConfig
+from hnsynth.cli import cli_main
 from hnsynth.config import SCHEMA, build_tool_config, describe_schema, parse_config_file
 from hnsynth.errors import FormatError
 from hnsynth.losses import LossWeights
 from hnsynth.spectral import MRS_FFT_SIZES, MelConfig, SpectralConfig
+from hnsynth.types import Waveform
+from hnsynth.wavio import write_wav
 
 
 def write_cfg(tmp_path, text):
@@ -28,7 +32,7 @@ def test_parse_typed_values_with_comments(tmp_path):
         window = hamming
         f_max = none
         mrs_fft_sizes = 256, 512, 1024
-        harmonic_floor = 0.02   # trailing comment
+        voicing_threshold = 0.25   # trailing comment
         """,
     )
     overrides = parse_config_file(path)
@@ -36,14 +40,22 @@ def test_parse_typed_values_with_comments(tmp_path):
     assert overrides["window"] == "hamming"
     assert overrides["f_max"] is None
     assert overrides["mrs_fft_sizes"] == (256, 512, 1024)
-    assert overrides["harmonic_floor"] == 0.02
+    assert overrides["voicing_threshold"] == 0.25
 
 
-def test_unknown_key_rejected_with_line_number(tmp_path):
-    path = write_cfg(tmp_path, "fft_size = 512\nbogus_key = 1\n")
-    with pytest.raises(FormatError) as err:
+# center and harmonic_floor are keys earlier versions accepted
+@pytest.mark.parametrize(
+    "line", ["bogus_key = 1", "center = true", "harmonic_floor = 0.05"], ids=["bogus_key", "center", "harmonic_floor"]
+)
+def test_unknown_key_rejected_with_line_number(tmp_path, capsys, line):
+    path = write_cfg(tmp_path, f"fft_size = 512\n{line}\n")
+    with pytest.raises(FormatError, match="unknown config key") as err:
         parse_config_file(path)
     assert err.value.line == 2
+    wav = tmp_path / "x.wav"
+    write_wav(Waveform(np.zeros(4096), 8000), wav)
+    assert cli_main(["metrics", str(wav), str(wav), "--config", str(path)]) == 4
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_bad_value_rejected(tmp_path):
@@ -75,9 +87,8 @@ def test_overrides_beat_defaults():
     assert tool.analysis.hop_size == 256
 
 
-def test_tool_refinement_default_is_two_passes():
-    # the estimator ships with refine_iters 0; the tool layer turns on two
-    assert build_tool_config(22050).analysis.refine_iters == 2
+def test_tool_refinement_default_is_the_estimators_one_pass():
+    assert build_tool_config(22050).analysis.refine_iters == AnalysisConfig().refine_iters == 1
     assert build_tool_config(22050, {"refine_iters": 0}).analysis.refine_iters == 0
 
 
@@ -111,6 +122,6 @@ def test_tool_defaults_are_the_dataclass_defaults(rate):
     sizes = {key: getattr(tool.spectral, key) for key in ("fft_size", "hop_size", "win_size")}
     assert tool.spectral == SpectralConfig(**sizes)
     assert tool.mel == MelConfig(spectral=tool.spectral)
-    assert tool.analysis == AnalysisConfig(hop_size=tool.spectral.hop_size, refine_iters=2)
+    assert tool.analysis == AnalysisConfig(hop_size=tool.spectral.hop_size)
     assert tool.weights == LossWeights()
     assert (tool.mrs_fft_sizes, tool.seed) == (MRS_FFT_SIZES, 0)

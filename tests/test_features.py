@@ -119,15 +119,21 @@ def test_version_mismatch_raises_format_error(tmp_path, rng):
         load_features(bad)
 
 
-def test_header_center_true_loads_like_no_key(tmp_path, rng):
-    # bundles written while framing could be uncentered carry "center": true
+# bundles written while framing could be uncentered carry "center": true, and
+# those written while harmonic readings had a relative floor carry its value
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("spectral", "center", True), ("analysis", "harmonic_floor", 0.05)],
+    ids=["center", "harmonic_floor"],
+)
+def test_header_retired_key_loads_like_no_key(tmp_path, rng, section, key, value):
     path = tmp_path / "b.hnsf"
     save_features(random_bundle(rng), path)
     raw = path.read_bytes()
     (header_len,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8 : 8 + header_len])
-    assert "center" not in header["spectral"]
-    header["spectral"]["center"] = True
+    assert key not in header[section]
+    header[section][key] = value
     blob = json.dumps(header, sort_keys=True).encode()
     old = tmp_path / "old.hnsf"
     old.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[8 + header_len :])
