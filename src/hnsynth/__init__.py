@@ -38,13 +38,7 @@ from .spectral import (
     stft,
 )
 from .synth import cumulative_phase, harmonic_synthesize, noise_synthesize
-from .types import (
-    F0Contour,
-    HarmonicAmplitudes,
-    InitialPhases,
-    NoiseMagnitudeSpectrum,
-    Waveform,
-)
+from .types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 from .wavio import read_wav, write_wav
 
 __version__ = "0.1.0"
@@ -56,7 +50,6 @@ __all__ = [
     "FeatureBundle",
     "FormatError",
     "HarmonicAmplitudes",
-    "InitialPhases",
     "LossWeights",
     "MelConfig",
     "NoiseMagnitudeSpectrum",

@@ -10,6 +10,8 @@ window-gain normalization, so a unit-amplitude sinusoid measures as ~1.
 The noise spectrum is x's STFT magnitude beyond the harmonic reconstruction's
 (spectral subtraction, Boll 1979): no phase has to line up, and a peak error e
 leaves e. analyze scales it by sqrt(fft / hop) so the noise branch renders it.
+No phase is fitted: estimate_initial_phases is a read-only diagnostic of x's
+phases against the bank's phase-free render, which analyze does not call.
 
 All frame-level outputs take the frame count and the frame anchor from the
 spectral module's frame grid, so contours, amplitude matrices, and STFTs of the
@@ -27,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import SpectralConfig, frame_anchor, frame_count, frame_view, stft
 from .synth import _phasor_blocks, harmonic_synthesize
-from .types import F0Contour, HarmonicAmplitudes, InitialPhases, NoiseMagnitudeSpectrum, Waveform
+from .types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
 _TINY = 1e-12
 
@@ -378,16 +380,16 @@ def _harmonics_from_magnitude(mag: np.ndarray, pairs: _PeakPairs) -> np.ndarray:
     return values
 
 
-def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> InitialPhases:
-    """Starting phase per harmonic that best aligns a resynthesis with x.
+def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> np.ndarray:
+    """Starting phase per harmonic of x against the bank's phase-free render, in [-pi, pi).
 
     Demodulates x against the accumulated fundamental phase, so the estimate
-    follows any f0 trajectory, not just constant pitch. The bank's walker
-    (_Block.harmonics), started from x laid out on the bank's grid rows instead of
-    ones, silences the same unvoiced and at-or-above-Nyquist pairs, the grid
-    samples outside x among them; a harmonic with no live pair gets phase 0.
-    analyze does not call it; it stays, paired with harmonic_synthesize's phi0,
-    while the benchmark's tracer (bench/tracer.py) lists it among its targets.
+    follows any f0 trajectory, not just constant pitch: each block's grid rows of
+    x meet every phasor z^k of the bank's walker (_Block.harmonics), which
+    silences the same unvoiced and at-or-above-Nyquist pairs, the grid samples
+    outside x among them; a harmonic with no live pair gets phase 0. A read-only
+    diagnostic: analyze does not call it, and the bank takes no phase, but the
+    benchmark's tracer (bench/tracer.py) lists it among its targets.
     """
     hop = f0.hop_size
     n = min(len(x), f0.frames * hop)
@@ -396,13 +398,15 @@ def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> InitialPh
     grid.reshape(-1)[lead : lead + n] = x.samples[:n]
     acc = np.zeros(k_max, dtype=np.complex128)
     for b in _phasor_blocks(f0, x.sample_rate, n, k_max):
-        demods = b.harmonics(grid[b.rows].astype(np.complex128).reshape(-1), range(1, b.k_live + 1))
-        for k, demod in enumerate(demods, 1):
+        xb = grid[b.rows].astype(np.complex128).reshape(-1)
+        for k, zk in enumerate(b.harmonics(range(1, b.k_live + 1)), 1):
             # x ~ H sin(k psi + phi) = H cos(k psi + phi - pi/2); summing x e^{ik psi}
             # over the walk's live samples leaves ~ (H/2) e^{i(pi/2 - phi)}
-            acc[k - 1] += demod.sum()
+            acc[k - 1] += xb @ zk
     phases = np.where(acc != 0, np.pi / 2 - np.angle(acc), 0.0)
-    return InitialPhases.wrapped(phases)
+    phases = np.mod(phases + np.pi, 2 * np.pi) - np.pi
+    phases[phases >= np.pi] -= 2 * np.pi  # rounding can land exactly on pi
+    return phases
 
 
 def estimate_noise(x: Waveform, harmonic: Waveform, spectral: SpectralConfig) -> NoiseMagnitudeSpectrum:

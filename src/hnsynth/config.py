@@ -16,7 +16,8 @@ from dataclasses import dataclass, fields, replace
 from .analysis import AnalysisConfig
 from .errors import FormatError
 from .losses import LossWeights
-from .spectral import MRS_FFT_SIZES, MelConfig, SpectralConfig, default_spectral, mel_band, require_cola
+from .spectral import MRS_FFT_SIZES, MelConfig, SpectralConfig, default_spectral, mel_band
+from .spectral import multi_resolution_configs, require_cola
 
 
 def _parse_optional_float(text: str):
@@ -111,9 +112,7 @@ def build_tool_config(sample_rate: int, overrides: dict | None = None) -> ToolCo
     analysis = AnalysisConfig(**{**_fields(AnalysisConfig, overrides), "hop_size": spectral.hop_size})
     weights = LossWeights(**_fields(LossWeights, overrides))
     mrs = tuple(overrides.get("mrs_fft_sizes", MRS_FFT_SIZES))
-    for n in mrs:
-        if n <= 0 or (n & (n - 1)) != 0:
-            raise ValueError(f"mrs_fft_sizes entries must be powers of two, got {n}")
+    multi_resolution_configs(mrs)  # each size must make a valid quarter-hop STFT config
     seed = int(overrides.get("seed", 0))
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")

@@ -127,10 +127,12 @@ def _header_int(value, name: str, path) -> int:
 
 
 def _header_config(cls, fields: dict, section: str, path):
-    """The config of one header section, with every integer field checked as one."""
+    """The config of one header section: int fields must hold JSON integers, float fields numbers."""
     for f in dataclasses.fields(cls):
-        if f.type == "int" and f.name in fields:
+        if f.name in fields and f.type == "int":
             _header_int(fields[f.name], f"{section}.{f.name}", path)
+        elif f.name in fields and f.type == "float" and type(fields[f.name]) not in (int, float):
+            raise FormatError(f"{path}: {section}.{f.name} must be a number, got {fields[f.name]!r}")
     return cls(**fields)
 
 

@@ -1,9 +1,10 @@
 """Deterministic synthesis of periodic and aperiodic waveform components.
 
 The harmonic bank renders y(n) = sum_k H_k(n) sin(phi_k(n)) with
-phi_k(n) = k*psi(n) + phi0_k, where psi is the running sum of the per-sample
+phi_k(n) = k*psi(n), where psi is the running sum of the per-sample
 fundamental frequency (inclusive of sample n, i.e. psi(n) covers samples
-0..n) accumulated once, in extended precision, by cumulative_phase.
+0..n) accumulated once, in extended precision, by cumulative_phase. No phase
+is stored or passed: every harmonic starts from the accumulated f0 alone.
 
 Frame values reach the samples through one segment grid: the output is laid
 out as frames + 1 rows of hop samples whose boundaries fall on the frame
@@ -19,16 +20,17 @@ and the bank crops its output from the grid once.
 
 The bank walks the grid in blocks of a few dozen whole rows. In each block one
 walker, _Block.harmonics, takes z = e^{i psi(n)} once and steps the phasor
-recurrence z_k = z_{k-1} * z, so sin(phi_k) is Im(z_k e^{i phi0_k}) and no
+recurrence z_k = z_{k-1} * z from ones, so sin(phi_k) is Im(z_k) and no
 harmonic calls sin; each live harmonic fills one row of a (harmonics, block
 samples) sine matrix. The walker alone silences (sample, harmonic) pairs, for
-the bank and the phase fit (analysis.estimate_initial_phases) alike: z is 0 on
-unvoiced samples, and pairs whose k*f0(n) reaches Nyquist are zeroed. The cap
-is per block: harmonics at or above Nyquist / (block's min voiced f0) are never
-walked, and only those at or above Nyquist / (block's max f0) pay for the
-per-sample mask. A global cap cannot replace this, because interpolation ramps
-f0 to zero across half a hop into unvoiced frames, so every harmonic is live
-somewhere near every gap. Zero amplitude columns are skipped block by block.
+the bank and the read-only phase diagnostic (analysis.estimate_initial_phases)
+alike: z is 0 on unvoiced samples, and pairs whose k*f0(n) reaches Nyquist are
+zeroed. The cap is per block: harmonics at or above Nyquist / (block's min
+voiced f0) are never walked, and only those at or above Nyquist / (block's max
+f0) pay for the per-sample mask. A global cap cannot replace this, because
+interpolation ramps f0 to zero across half a hop into unvoiced frames, so every
+harmonic is live somewhere near every gap. Zero amplitude columns are skipped
+block by block.
 
 Harmonic k's amplitude reads start_k[r] + slope_k[r] * j, so the amplitudes
 are applied by a batched matrix product: the (rows, 2, harmonics) start and
@@ -49,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .spectral import SpectralConfig, frame_anchor, istft
-from .types import F0Contour, HarmonicAmplitudes, InitialPhases, NoiseMagnitudeSpectrum, Waveform
+from .types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
 # Grid rows per block: enough to amortize numpy's per-call overhead, few enough
 # that the per-block temporaries stay a small fraction of one full-length array.
@@ -107,20 +109,21 @@ class _Block(NamedTuple):
     k_free: int  # harmonics 1..k_free stay below Nyquist on every sample
     k_live: int  # harmonics above k_live reach Nyquist on every voiced sample
 
-    def harmonics(self, start: np.ndarray, ks):
-        """Step start in place to start * z^k for each k of ks (ascending) and yield it.
+    def harmonics(self, ks):
+        """Yield z^k for each k of ks (ascending), stepped in one buffer from ones.
 
         Unvoiced pairs (z is 0) and pairs whose k*f0(n) reaches Nyquist are exactly
         0; a sample at Nyquist for k is so for every higher k, so its zero carries on.
         """
+        zk = np.ones_like(self.z)
         k = 0
         for k_next in ks:
             while k < k_next:
-                start *= self.z
+                zk *= self.z
                 k += 1
             if k > self.k_free:
-                start[k * self.f0 >= self.nyquist] = 0.0
-            yield start
+                zk[k * self.f0 >= self.nyquist] = 0.0
+            yield zk
 
 
 def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
@@ -165,15 +168,12 @@ def harmonic_synthesize(
     f0: F0Contour,
     amplitudes: HarmonicAmplitudes,
     sample_rate: int,
-    phi0: InitialPhases | None = None,
 ) -> Waveform:
     """Render the sinusoidal bank driven by frame-level f0 and amplitudes.
 
     Output length is frames * hop_size. Any (sample, harmonic) pair whose
     frequency k*f0(n) reaches Nyquist contributes exactly zero, as do all
-    harmonics wherever the interpolated f0 is zero (unvoiced regions). phi0
-    (zeros by default) pairs with analysis.estimate_initial_phases; neither
-    the CLI nor render_bundle passes it.
+    harmonics wherever the interpolated f0 is zero (unvoiced regions).
     """
     if sample_rate <= 0:
         raise ValueError("sample_rate must be positive")
@@ -181,11 +181,6 @@ def harmonic_synthesize(
         raise ValueError(
             f"frame count mismatch: f0 has {f0.frames} frames, amplitudes {amplitudes.frames}"
         )
-    k_max = amplitudes.k_max
-    if phi0 is None:
-        phi0 = InitialPhases.zeros(k_max)
-    if len(phi0) != k_max:
-        raise ValueError(f"need {k_max} initial phases, got {len(phi0)}")
     if f0.values.size and f0.values.max() >= sample_rate / 2.0:
         raise ValueError("f0 values must stay below Nyquist for this sample rate")
 
@@ -193,10 +188,9 @@ def harmonic_synthesize(
     n = f0.frames * hop
     starts, slopes = _segment_grid(amplitudes.values, hop)
     offsets = np.arange(hop, dtype=np.float64)
-    turns = np.exp(1j * phi0.values) if phi0.values.any() else None
 
     grid = np.zeros((f0.frames + 1, hop))
-    for b in _phasor_blocks(f0, sample_rate, n, k_max):
+    for b in _phasor_blocks(f0, sample_rate, n, amplitudes.k_max):
         start, slope = starts[b.rows], slopes[b.rows]
         live = (start != 0).any(axis=0) | (slope != 0).any(axis=0)
         ks = np.flatnonzero(live[: b.k_live]) + 1
@@ -204,17 +198,15 @@ def harmonic_synthesize(
             continue
         rows = start.shape[0]
         coef = np.stack((start[:, ks - 1], slope[:, ks - 1]), axis=1)
-        # one row of sin(k psi + phi0_k) per live harmonic of the slice
+        # one row of sin(k psi) per live harmonic of the slice
         sines = np.empty((min(ks.size, _SLICE_HARMONICS), rows * hop))
         sums = np.zeros((rows, 2, hop))
-        walk = zip(ks, b.harmonics(np.ones_like(b.z), ks))
-        turned = None if turns is None else np.empty_like(b.z)
+        walk = b.harmonics(ks)
         for first in range(0, ks.size, _SLICE_HARMONICS):
             part = ks[first : first + _SLICE_HARMONICS]
             # range first, so zip stops at the slice's end without stepping the walk
-            for row, (k, z) in zip(range(part.size), walk):
-                phasor = z if turned is None else np.multiply(z, turns[k - 1], out=turned)
-                np.copyto(sines[row], phasor.imag)
+            for row, zk in zip(range(part.size), walk):
+                np.copyto(sines[row], zk.imag)
             # (rows, 2, harmonics) @ (rows, harmonics, hop): per row, the sums
             # over the slice's harmonics of start * sine and slope * sine
             block = sines[: part.size].reshape(part.size, rows, hop).transpose(1, 0, 2)

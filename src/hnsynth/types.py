@@ -115,31 +115,3 @@ class NoiseMagnitudeSpectrum:
     @property
     def bins(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class InitialPhases:
-    """Per-harmonic starting phase in radians, each in [-pi, pi)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _as_float_array(self.values, "initial phases", 1)
-        if values.size and (values.min() < -np.pi or values.max() >= np.pi):
-            raise ValueError("initial phases must lie in [-pi, pi)")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def zeros(cls, k_max: int) -> "InitialPhases":
-        return cls(np.zeros(k_max))
-
-    @classmethod
-    def wrapped(cls, values) -> "InitialPhases":
-        """Wrap arbitrary radian values into [-pi, pi)."""
-        arr = np.ascontiguousarray(values, dtype=np.float64)
-        wrapped = np.mod(arr + np.pi, 2 * np.pi) - np.pi
-        wrapped[wrapped >= np.pi] -= 2 * np.pi  # rounding can land exactly on pi
-        return cls(wrapped)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]

@@ -55,6 +55,8 @@ def _read_fmt(buf: bytes, pos: int) -> tuple[tuple, int]:
             tag = int.from_bytes(guid[:4], "little")
     if tag not in (_PCM, _IEEE_FLOAT):
         raise UnsupportedAudioError(f"unsupported WAV codec {tag:#06x}; expected PCM16 or IEEE float")
+    if rate == 0:
+        raise FormatError("sample rate of 0 Hz")
     if tag == _PCM and byte_rate != rate * block_align:
         raise FormatError(
             f"byte rate {byte_rate} is not sample rate {rate} times block align {block_align}"

@@ -21,8 +21,8 @@ from hnsynth.analysis import (
     estimate_noise,
 )
 from hnsynth.spectral import MelConfig, SpectralConfig, frame_anchor, frame_count, frame_view, mel_spectrogram, stft
-from hnsynth.synth import harmonic_synthesize
-from hnsynth.types import F0Contour, HarmonicAmplitudes, InitialPhases, Waveform
+from hnsynth.synth import cumulative_phase, harmonic_synthesize
+from hnsynth.types import F0Contour, HarmonicAmplitudes, Waveform
 
 from conftest import constant_amps, constant_contour, harmonic_tone, sine
 
@@ -433,9 +433,11 @@ def test_initial_phase_recovery_on_clean_tone():
     frames, hop = 50, SPECTRAL.hop_size
     contour = constant_contour(220.0, frames, hop)
     true_phases = np.array([0.5, -1.2, 2.0])
-    x = harmonic_synthesize(contour, constant_amps([0.5, 0.3, 0.2], frames), SR, InitialPhases(true_phases))
+    psi = cumulative_phase(np.full(frames * hop, 220.0), SR)
+    k = np.arange(1, 4)[:, None]
+    x = Waveform(np.array([0.5, 0.3, 0.2]) @ np.sin(k * psi + true_phases[:, None]), SR)
     est = estimate_initial_phases(x, contour, 3)
-    err = np.angle(np.exp(1j * (est.values - true_phases)))
+    err = np.angle(np.exp(1j * (est - true_phases)))
     assert np.abs(err).max() < 0.05
 
 
@@ -489,11 +491,13 @@ def test_noise_energy_holds_when_the_harmonic_render_misses_x_phases():
     # The estimate subtracts magnitudes, so a render in antiphase with x's
     # harmonic part, or at unrelated phases, leaves the same noise as an aligned one.
     x, noise, f0, harm = _noisy_tone_analysis()
-    antiphase = estimate_initial_phases(x, f0, harm.k_max).values + np.pi
-    unrelated = np.random.default_rng(7).uniform(-np.pi, np.pi, harm.k_max)
-    for phases in (antiphase, unrelated):
-        rendered = harmonic_synthesize(f0, harm, SR, InitialPhases.wrapped(phases))
-        assert 0.8 < _noise_energy_ratio(x, noise, rendered) < 1.2
+    rendered = harmonic_synthesize(f0, harm, SR).samples
+    antiphase = -rendered
+    # 0.37 of a 220 Hz period late: harmonic k lags by 0.37 * 2*pi*k
+    delay = round(0.37 * SR / 220.0)
+    unrelated = np.concatenate([np.zeros(delay), rendered[:-delay]])
+    for y in (antiphase, unrelated):
+        assert 0.8 < _noise_energy_ratio(x, noise, Waveform(y, SR)) < 1.2
 
 
 def test_noise_length_mismatch_rejected(rng):

@@ -178,6 +178,31 @@ def test_a_window_hop_pair_that_fails_cola_exits_5_before_analysis(tmp_path, ton
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "synth", "resynth", "metrics"])
+def test_an_mrs_size_without_a_quarter_hop_exits_5_before_any_work(tmp_path, tone_wav, monkeypatch, capsys, command):
+    # a 2-point FFT is a power of two, but its quarter-size hop is 0
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run went past its config")
+
+    for name in ("analyze_bundle", "render_bundle", "_report"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = tmp_path / "mrs.cfg"
+    cfg.write_text("mrs_fft_sizes = 2, 1024\n")
+    bundle = tmp_path / "in.hnsf"
+    bundle.write_bytes(_bundle_bytes(tmp_path))
+    out, report = tmp_path / "o.out", tmp_path / "o.json"
+    argv = {
+        "analyze": ["analyze", str(tone_wav), "-o", str(out)],
+        "synth": ["synth", str(bundle), "-o", str(out)],
+        "resynth": ["resynth", str(tone_wav), "-o", str(out), "--report", str(report)],
+        "metrics": ["metrics", str(tone_wav), str(tone_wav)],
+    }[command]
+    assert cli_main(argv + ["--config", str(cfg)]) == 5
+    captured = capsys.readouterr()
+    assert "fft=2" in captured.err and captured.out == ""
+    assert not out.exists() and not report.exists()
+
+
 def test_metrics_identical_files_all_zero(tmp_path, tone_wav, capsys):
     assert cli_main(["metrics", str(tone_wav), str(tone_wav)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -290,6 +315,21 @@ def test_malformed_wav_header_exits_4(tmp_path, capsys, edit):
     assert cli_main(["analyze", str(bad), "-o", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("hnsynth: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+def test_wav_header_rate_of_zero_exits_4(tmp_path, capsys, fmt):
+    # a 0 Hz rate is a malformed header (exit 4), not a bad value (exit 5); the
+    # byte rate is 0 too, so PCM's byte-rate check holds
+    bad = tmp_path / "zero.wav"
+    write_wav(harmonic_tone(220.0, 8000, 0.5, [0.5]), bad, fmt)
+    bad.write_bytes(_put(28, "<I", 0)(_put(24, "<I", 0)(bad.read_bytes())))
+    out = tmp_path / "o.out"
+    for argv in (["analyze", str(bad), "-o", str(out)], ["resynth", str(bad), "-o", str(out)], ["metrics", str(bad), str(bad)]):
+        assert cli_main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"hnsynth: {bad}: ") and "0 Hz" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -425,6 +465,19 @@ def test_malformed_bundle_exits_4(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("hnsynth: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["f0_min", "voicing_threshold", "silence_rms"])
+def test_bool_in_a_float_header_field_exits_4(tmp_path, capsys, key):
+    # a JSON bool is not a number, though Python would read it as 0 or 1; a JSON
+    # integer is
+    out = tmp_path / "y.wav"
+    for value, code in ((True, 4), (False, 4), (1, 0)):
+        bad = tmp_path / "bad.hnsf"
+        bad.write_bytes(_edit_bundle(_bundle_bytes(tmp_path), _set_field("analysis", key, value)))
+        assert cli_main(["synth", str(bad), "-o", str(out)]) == code
+        assert (f"analysis.{key} must be a number" in capsys.readouterr().err) == (code == 4)
+        assert out.exists() == (code == 0)
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path, tone_wav, capsys):

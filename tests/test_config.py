@@ -99,6 +99,8 @@ def test_domain_violations_surface_as_value_error():
         build_tool_config(22050, {"unknown_thing": 1})
     with pytest.raises(ValueError):
         build_tool_config(22050, {"mrs_fft_sizes": (500,)})
+    with pytest.raises(ValueError, match="hop=0"):
+        build_tool_config(22050, {"mrs_fft_sizes": (2, 1024)})
     with pytest.raises(ValueError):
         build_tool_config(22050, {"seed": -3})
     with pytest.raises(ValueError, match="constant overlap-add"):

@@ -17,7 +17,7 @@ from hnsynth.synth import (
     harmonic_synthesize,
     noise_synthesize,
 )
-from hnsynth.types import F0Contour, HarmonicAmplitudes, InitialPhases, NoiseMagnitudeSpectrum, Waveform
+from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
 from conftest import constant_amps, constant_contour
 
@@ -61,18 +61,6 @@ def test_single_harmonic_matches_direct_sine():
     n = np.arange(frames * hop)
     # inclusive phase accumulation puts sample n at 2*pi*f0*(n+1)/sr
     expected = 0.5 * np.sin(2 * np.pi * f0 * (n + 1) / sr)
-    assert np.abs(y.samples - expected).max() < 1e-9
-
-
-def test_initial_phase_offsets_each_harmonic():
-    sr, f0, hop, frames = 22050, 220.0, 256, 20
-    contour = constant_contour(f0, frames, hop)
-    amps = constant_amps([0.4, 0.2], frames)
-    phi0 = InitialPhases(np.array([0.3, -1.1]))
-    y = harmonic_synthesize(contour, amps, sr, phi0)
-    n = np.arange(frames * hop)
-    base = 2 * np.pi * f0 * (n + 1) / sr
-    expected = 0.4 * np.sin(base + 0.3) + 0.2 * np.sin(2 * base - 1.1)
     assert np.abs(y.samples - expected).max() < 1e-9
 
 
@@ -121,13 +109,6 @@ def test_output_length_is_frames_times_hop():
 def test_harmonic_synthesize_validates_frame_counts():
     with pytest.raises(ValueError):
         harmonic_synthesize(constant_contour(100.0, 5, 64), constant_amps([0.1], 6), 8000)
-    with pytest.raises(ValueError):
-        harmonic_synthesize(
-            constant_contour(100.0, 5, 64),
-            constant_amps([0.1], 5),
-            8000,
-            InitialPhases(np.zeros(3)),
-        )
 
 
 def test_f0_above_nyquist_rejected():
@@ -155,9 +136,9 @@ def test_harmonic_energy_scales_with_amplitude(f0, k_max, seed):
 # ------------------------------- equivalence with the per-column bank
 #
 # Frozen copies of the code the phasor recurrence replaced: one np.interp and
-# one sin(k*psi + phi) per harmonic over all samples, gated per sample. The
-# rewrite changes only how sin(k*psi + phi) is formed, so the outputs agree to
-# rounding; k*psi itself carries ~1e-16 relative error in the reference.
+# one sin(k*psi) per harmonic over all samples, gated per sample. The rewrite
+# changes only how sin(k*psi) is formed, so the outputs agree to rounding;
+# k*psi itself carries ~1e-16 relative error in the reference.
 
 
 def _frozen_interp(values, hop, n):
@@ -170,7 +151,7 @@ def _frozen_psi(f0_samples, sr):
     return np.asarray(2 * np.pi * cycles, dtype=np.float64)
 
 
-def _frozen_bank(f0, amplitudes, sr, phi0):
+def _frozen_bank(f0, amplitudes, sr):
     nyquist = sr / 2.0
     n = f0.frames * f0.hop_size
     f0_samples = _frozen_interp(f0.values, f0.hop_size, n)
@@ -183,7 +164,7 @@ def _frozen_bank(f0, amplitudes, sr, phi0):
             break
         amp = _frozen_interp(amplitudes.values[:, k - 1], f0.hop_size, n)
         amp *= gate
-        out += amp * np.sin(k * psi + phi0.values[k - 1])
+        out += amp * np.sin(k * psi)
     return out
 
 
@@ -202,7 +183,9 @@ def _frozen_initial_phases(x, f0, k_max):
         acc = demod[active].sum()
         if acc != 0:
             phases[k - 1] = np.angle(acc) + np.pi / 2
-    return InitialPhases.wrapped(phases).values
+    wrapped = np.mod(phases + np.pi, 2 * np.pi) - np.pi
+    wrapped[wrapped >= np.pi] -= 2 * np.pi  # rounding can land exactly on pi
+    return wrapped
 
 
 def _random_features(seed, sr, hop, frames, k_max, f0_top):
@@ -226,14 +209,13 @@ _equivalence_cases = dict(
 
 
 @settings(max_examples=60, deadline=None)
-@given(with_phi0=st.booleans(), **_equivalence_cases)
-def test_bank_matches_per_column_reference(sr, hop, frames, k_max, top, seed, with_phi0):
+@given(**_equivalence_cases)
+def test_bank_matches_per_column_reference(sr, hop, frames, k_max, top, seed):
     # top sets the highest f0 as a fraction of the rate: low values keep every
     # harmonic in band, high ones gate the bank partway through
-    f0, amps, rng = _random_features(seed, sr, hop, frames, k_max, top * sr)
-    phi0 = InitialPhases.wrapped(rng.uniform(-4, 4, k_max) if with_phi0 else np.zeros(k_max))
-    got = harmonic_synthesize(f0, amps, sr, phi0).samples
-    assert np.abs(got - _frozen_bank(f0, amps, sr, phi0)).max() <= 1e-9
+    f0, amps, _ = _random_features(seed, sr, hop, frames, k_max, top * sr)
+    got = harmonic_synthesize(f0, amps, sr).samples
+    assert np.abs(got - _frozen_bank(f0, amps, sr)).max() <= 1e-9
 
 
 def _dense_15s():
@@ -257,9 +239,8 @@ def _dense_15s():
 
 def test_bank_matches_per_column_reference_dense_15s():
     contour, harmonics, sr = _dense_15s()
-    phi0 = InitialPhases.zeros(harmonics.k_max)
     got = harmonic_synthesize(contour, harmonics, sr).samples
-    assert np.abs(got - _frozen_bank(contour, harmonics, sr, phi0)).max() <= 1e-9
+    assert np.abs(got - _frozen_bank(contour, harmonics, sr)).max() <= 1e-9
 
 
 def test_bank_memory_stays_bounded_dense_15s():
@@ -276,8 +257,7 @@ def test_bank_memory_stays_bounded_dense_15s():
     assert peak < 30 * 2**20
 
 
-@pytest.mark.parametrize("with_phi0", [False, True])
-def test_bank_matches_per_column_reference_across_block_edges(with_phi0):
+def test_bank_matches_per_column_reference_across_block_edges():
     # Frames are laid out by block (row r of the grid reads frames r-1 and r)
     # so that each edge case of the per-block sine matrix occurs: block 0's
     # first row starts before sample 0 and the last block's tail row ends past
@@ -297,7 +277,6 @@ def test_bank_matches_per_column_reference_across_block_edges(with_phi0):
     amps[:, 1] = 0.0
     amps[:rows, 3] = 0.0
     contour, harmonics = F0Contour.from_values(f0, hop), HarmonicAmplitudes(amps)
-    phi0 = InitialPhases.wrapped(rng.uniform(-4, 4, k_max) if with_phi0 else np.zeros(k_max))
 
     n = frames * hop
     blocks = list(_phasor_blocks(contour, sr, n, k_max))
@@ -306,8 +285,8 @@ def test_bank_matches_per_column_reference_across_block_edges(with_phi0):
     assert frame_anchor(blocks[-1].rows.stop - 1, hop) > n
     assert blocks[1].k_free < 5 <= blocks[1].k_live
     assert 0 < np.count_nonzero(blocks[2].f0) < blocks[2].f0.size
-    got = harmonic_synthesize(contour, harmonics, sr, phi0).samples
-    assert np.abs(got - _frozen_bank(contour, harmonics, sr, phi0)).max() <= 1e-9
+    got = harmonic_synthesize(contour, harmonics, sr).samples
+    assert np.abs(got - _frozen_bank(contour, harmonics, sr)).max() <= 1e-9
 
 
 @pytest.mark.parametrize("sr", [8000, 22050, 44100])
@@ -316,14 +295,14 @@ def test_harmonic_walk_silences_unvoiced_and_nyquist_pairs(sr):
     # up cross Nyquist inside it; block 2 has an unvoiced run in its middle. The
     # contour is voiced at both ends, so the grid samples before sample 0 and
     # from sample n on are silent because they lie outside the signal, whether
-    # n is the contour's length or, as in the phase fit of a shorter signal, less.
+    # n is the contour's length or, as in estimate_initial_phases of a shorter
+    # signal, less.
     rows, hop, k_max = _BLOCK_ROWS, 16, 12
     f0 = np.full(3 * rows, 0.02 * sr)
     f0[rows : 2 * rows] = np.linspace(0.03 * sr, 0.2 * sr, rows)
     f0[2 * rows + rows // 4 : 2 * rows + 3 * rows // 4] = 0.0
     lead = -frame_anchor(-1, hop)
     ks = np.array([1, 2, 3, 5, 6, 9, 12])  # sparse, so the walk steps over harmonics
-    rng = np.random.default_rng(sr)
     for n in (f0.size * hop, f0.size * hop - 3 * hop - 5):
         f0_samples = _frozen_interp(f0, hop, n)
         psi = _frozen_psi(f0_samples, sr)
@@ -334,10 +313,9 @@ def test_harmonic_walk_silences_unvoiced_and_nyquist_pairs(sr):
             inside = (sample >= 0) & (sample < n)
             f, phase = np.zeros(sample.size), np.zeros(sample.size)
             f[inside], phase[inside] = f0_samples[sample[inside]], psi[sample[inside]]
-            start = rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size)
-            for k, got in zip(ks, b.harmonics(start.copy(), ks)):
+            for k, got in zip(ks, b.harmonics(ks)):
                 live = inside & (f > 0) & (k * f < sr / 2)
-                want = start * np.exp(1j * k * phase)
+                want = np.exp(1j * k * phase)
                 assert np.abs(got[live] - want[live]).max(initial=0.0) <= 1e-9
                 assert not got[~live].any()
                 seen_free |= k <= b.k_free and not live.all()
@@ -353,7 +331,8 @@ def test_initial_phases_match_per_column_reference(sr, hop, frames, k_max, top, 
     # the signal may end before or after the contour's last frame
     n = max(1, frames * hop + max(extra, 1 - hop))
     x = Waveform(np.sin(np.arange(n) * rng.uniform(0.01, 1.0)) + rng.standard_normal(n), sr)
-    got = estimate_initial_phases(x, f0, k_max).values
+    got = estimate_initial_phases(x, f0, k_max)
+    assert got.dtype == np.float64 and ((-np.pi <= got) & (got < np.pi)).all()
     wrapped = np.angle(np.exp(1j * (got - _frozen_initial_phases(x, f0, k_max))))
     assert np.abs(wrapped).max() <= 1e-9
 
