@@ -1,26 +1,26 @@
 """End-to-end resynthesis demo.
 
-Analyzes a WAV into f0 + harmonic amplitudes + noise magnitudes, renders the
-bundle back into audio, and prints how close the copy is. With no input
-argument a short synthetic singing-like tone is generated first, so the script
-runs standalone.
+Runs `hnsynth analyze` and `hnsynth resynth` on a WAV: the first writes the
+analysis bundle, the second renders the input's features back into audio and
+prints its JSON report (mel L1, f0 RMSE, multi-resolution spectral L1, clipped
+sample count), which scores the copy as written against the input. With no
+input argument a short synthetic singing-like tone is generated first, so the
+script runs standalone.
 
 Writes into the output directory: input.wav (only when the tone is generated),
 features.hnsf (the analysis bundle) and resynth.wav (its rendering, cut to the
-input's length).
+input's length). Exits with the first non-zero exit code of the two commands.
 """
 
 import argparse
 import os
+import sys
 
 import numpy as np
 
-from hnsynth.analysis import estimate_f0
-from hnsynth.config import build_tool_config
-from hnsynth.features import analyze_bundle, render_bundle, save_features
-from hnsynth.losses import f0_rmse, mel_l1
+from hnsynth.cli import cli_main
 from hnsynth.types import Waveform
-from hnsynth.wavio import read_wav, write_wav
+from hnsynth.wavio import write_wav
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("wav", nargs="?", help="input WAV (default: generate a demo tone)")
@@ -39,31 +39,19 @@ def make_demo_tone(sr=22050, seconds=3.0):
     return Waveform(x, sr)
 
 
-def main(args):
+def main(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    if args.wav is None:
-        x = make_demo_tone()
-        write_wav(x, os.path.join(args.out_dir, "input.wav"))
-        print("generated demo tone ->", os.path.join(args.out_dir, "input.wav"))
-    else:
-        x = read_wav(args.wav)
-    print(f"input: {len(x)} samples at {x.sample_rate} Hz")
-
-    tool = build_tool_config(x.sample_rate)
-    bundle = analyze_bundle(x, tool.analysis, tool.spectral)
-    print(f"analyzed {bundle.frames} frames, {int(bundle.f0.voiced.sum())} voiced")
-    save_features(bundle, os.path.join(args.out_dir, "features.hnsf"))
-
-    rendered = render_bundle(bundle, seed=args.seed)
-    y = Waveform(rendered.samples[: len(x)], x.sample_rate)
-    clipped = write_wav(y, os.path.join(args.out_dir, "resynth.wav"))
-    if clipped:
-        print(f"warning: {clipped} samples clipped writing resynth.wav")
-
-    print(f"mel L1          {mel_l1(y, x, tool.mel):.4f}")
-    print(f"f0 RMSE (Hz)    {f0_rmse(estimate_f0(y, tool.analysis), bundle.f0):.4f}")
-    print("outputs in", args.out_dir)
+    wav = args.wav
+    if wav is None:
+        wav = os.path.join(args.out_dir, "input.wav")
+        write_wav(make_demo_tone(), wav)
+        print("generated demo tone ->", wav)
+    features = os.path.join(args.out_dir, "features.hnsf")
+    resynth = os.path.join(args.out_dir, "resynth.wav")
+    return cli_main(["analyze", wav, "-o", features]) or cli_main(
+        ["resynth", wav, "-o", resynth, "--seed", str(args.seed)]
+    )
 
 
 if __name__ == "__main__":
-    main(parser.parse_args())
+    sys.exit(main(parser.parse_args()))

@@ -112,7 +112,11 @@ def build_tool_config(sample_rate: int, overrides: dict | None = None) -> ToolCo
     analysis = AnalysisConfig(**{**_fields(AnalysisConfig, overrides), "hop_size": spectral.hop_size})
     weights = LossWeights(**_fields(LossWeights, overrides))
     mrs = tuple(overrides.get("mrs_fft_sizes", MRS_FFT_SIZES))
-    multi_resolution_configs(mrs)  # each size must make a valid quarter-hop STFT config
+    for i, size in enumerate(mrs, start=1):
+        try:
+            multi_resolution_configs((size,))  # each size must make a valid quarter-hop STFT config
+        except ValueError as exc:
+            raise ValueError(f"mrs_fft_sizes entry {i} ({size}): {exc}") from exc
     seed = int(overrides.get("seed", 0))
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import AnalysisConfig, analyze
 from .errors import FormatError
 from .ioutil import atomic_write
-from .spectral import SpectralConfig
+from .spectral import SpectralConfig, require_cola
 from .synth import harmonic_synthesize, noise_synthesize
 from .types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
@@ -69,6 +69,7 @@ class FeatureBundle:
             raise ValueError(
                 f"noise spectrum has {self.noise.bins} bins, config expects {self.spectral.n_bins}"
             )
+        require_cola(self.spectral)  # the noise branch's inverse STFT needs it
 
     @property
     def frames(self) -> int:

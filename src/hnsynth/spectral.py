@@ -185,7 +185,8 @@ def istft(S: np.ndarray, cfg: SpectralConfig, out_len: int) -> np.ndarray:
     w = cfg.window_array()
     n_frames = S.shape[0]
     total = (n_frames - 1) * hop + fft
-    frames = np.fft.irfft(S, n=fft, axis=1) * w
+    frames = np.fft.irfft(S, n=fft, axis=1)
+    frames *= w
 
     acc = np.zeros(total)
     wsum = np.zeros(total)

@@ -233,6 +233,6 @@ def noise_synthesize(
             f"noise spectrum has {noise.bins} bins but config expects {spectral.n_bins}"
         )
     rng = np.random.default_rng(seed)
-    phases = rng.uniform(-np.pi, np.pi, size=noise.values.shape)
-    spec = noise.values * np.exp(1j * phases)
+    spec = np.exp(1j * rng.uniform(-np.pi, np.pi, size=noise.values.shape))
+    spec *= noise.values
     return Waveform(istft(spec, spectral, noise.frames * spectral.hop_size), sample_rate)

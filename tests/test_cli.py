@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,25 @@ def tone_wav(tmp_path):
     path = tmp_path / "tone.wav"
     write_wav(x, path)
     return path
+
+
+def _run_module(*argv):
+    """`python -m hnsynth.cli ARGV` in a fresh interpreter that finds the package's source."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hnsynth.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    version = _run_module("--version")
+    assert (version.returncode, version.stdout.split()[0], version.stderr) == (0, "hnsynth", "")
+    out = tmp_path / "x.hnsf"
+    missing = _run_module("analyze", str(tmp_path / "missing.wav"), "-o", str(out))
+    assert missing.returncode == 3 and missing.stderr.startswith("hnsynth: ")
+    assert not out.exists()
 
 
 def test_analyze_writes_loadable_bundle(tmp_path, tone_wav):
@@ -199,6 +221,7 @@ def test_an_mrs_size_without_a_quarter_hop_exits_5_before_any_work(tmp_path, ton
     }[command]
     assert cli_main(argv + ["--config", str(cfg)]) == 5
     captured = capsys.readouterr()
+    assert captured.err.startswith("hnsynth: mrs_fft_sizes entry 1 (2): ")
     assert "fft=2" in captured.err and captured.out == ""
     assert not out.exists() and not report.exists()
 
@@ -455,6 +478,7 @@ def _edit_bundle(raw: bytes, edit) -> bytes:
         pytest.param(_first_f0(SR / 2), id="f0-at-nyquist"),
         pytest.param(_set_field("analysis", "voicing_threshold", math.nan), id="nan-voicing-threshold"),
         pytest.param(_set_field("analysis", "silence_rms", math.inf), id="infinite-silence-rms"),
+        pytest.param(_set_field("spectral", "win_size", 1000), id="window-hop-not-cola"),
     ],
 )
 def test_malformed_bundle_exits_4(tmp_path, capsys, edit):

@@ -101,6 +101,8 @@ def test_domain_violations_surface_as_value_error():
         build_tool_config(22050, {"mrs_fft_sizes": (500,)})
     with pytest.raises(ValueError, match="hop=0"):
         build_tool_config(22050, {"mrs_fft_sizes": (2, 1024)})
+    with pytest.raises(ValueError, match=r"^mrs_fft_sizes entry 2 \(1000\): fft_size must be a power of two"):
+        build_tool_config(22050, {"mrs_fft_sizes": (512, 1000)})
     with pytest.raises(ValueError):
         build_tool_config(22050, {"seed": -3})
     with pytest.raises(ValueError, match="constant overlap-add"):

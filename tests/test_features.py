@@ -1,5 +1,6 @@
 """Feature bundle container round trips and error paths."""
 
+import dataclasses
 import json
 import struct
 
@@ -65,6 +66,21 @@ def test_bundle_validates_shared_frames_and_hop(rng):
             sample_rate=22050,
             spectral=SPEC,
             analysis=ANA,
+        )
+
+
+def test_bundle_refuses_a_window_hop_pair_that_fails_cola(rng):
+    # the noise branch's inverse STFT could not render it exactly
+    spectral = dataclasses.replace(SPEC, hop_size=300)
+    b = random_bundle(rng)
+    with pytest.raises(ValueError, match="constant overlap-add"):
+        FeatureBundle(
+            f0=F0Contour.from_values(b.f0.values, 300),
+            harmonics=b.harmonics,
+            noise=b.noise,
+            sample_rate=22050,
+            spectral=spectral,
+            analysis=AnalysisConfig(hop_size=300),
         )
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnsynth.analysis import estimate_initial_phases
-from hnsynth.spectral import SpectralConfig, frame_anchor, stft
+from hnsynth.spectral import SpectralConfig, default_spectral, frame_anchor, stft
 from hnsynth.synth import (
     _BLOCK_ROWS,
     _SLICE_HARMONICS,
@@ -405,6 +405,48 @@ def test_noise_rms_matches_overlap_add_prediction():
     predicted = np.sqrt(np.mean(var_frame / np.maximum(d, 1e-12)))
     measured = np.sqrt(np.mean(y.samples**2))
     assert measured == pytest.approx(predicted, rel=0.1)
+
+
+def _frozen_noise(noise, cfg, seed):
+    """The noise branch with every product in a fresh array: phases, spectrum, windowed frames."""
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-np.pi, np.pi, size=noise.values.shape)
+    spec = noise.values * np.exp(1j * phases)
+    w = cfg.window_array()
+    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1) * w
+    total = (noise.frames - 1) * cfg.hop_size + cfg.fft_size
+    acc, wsum = np.zeros(total), np.zeros(total)
+    for m in range(noise.frames):
+        s = m * cfg.hop_size
+        acc[s : s + cfg.fft_size] += frames[m]
+        wsum[s : s + cfg.fft_size] += w * w
+    out = np.where(wsum > 1e-11, acc / np.maximum(wsum, 1e-11), 0.0)[cfg.pad_left :]
+    n = noise.frames * cfg.hop_size
+    return np.pad(out[:n], (0, max(0, n - len(out))))
+
+
+@pytest.mark.parametrize("fft, hop, win", [(512, 128, 512), (1024, 256, 1024), (2048, 512, 1536)])
+def test_noise_matches_frozen_two_expression_form_bit_for_bit(fft, hop, win):
+    cfg = SpectralConfig(fft_size=fft, hop_size=hop, win_size=win)
+    mags = NoiseMagnitudeSpectrum(np.random.default_rng(fft).uniform(0, 0.02, (37, cfg.n_bins)))
+    got = noise_synthesize(mags, cfg, seed=11, sample_rate=22050).samples
+    assert np.array_equal(got, _frozen_noise(mags, cfg, 11))
+
+
+def test_noise_memory_holds_one_spectrum_less_dense_15s():
+    # the magnitudes are 10 MiB and the complex spectrum 20 MiB; the magnitudes
+    # multiply into the phasors in place and the inverse STFT windows its
+    # frames in place, so no second spectrum-sized buffer is held
+    cfg = default_spectral(44100)
+    mags = NoiseMagnitudeSpectrum(np.random.default_rng(5).uniform(0, 0.01, (1292, cfg.n_bins)))
+    assert np.array_equal(noise_synthesize(mags, cfg, 1, 44100).samples, _frozen_noise(mags, cfg, 1))
+    tracemalloc.start()
+    try:
+        noise_synthesize(mags, cfg, 1, 44100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 65 * 2**20
 
 
 def test_noise_bin_count_must_match_config():
