@@ -2,9 +2,9 @@
 
 The tracker is a normalized-autocorrelation (NCCF) pitch detector with
 parabolic peak refinement, a median and mean filter over voiced runs, and a
-phase-drift refinement. It works array at a time: once the NCCF matrix is
-built, peak choice, lobe fit, smoothing and refinement each treat all frames
-(or a block of them) in one pass, with no Python loop over frames. Harmonic
+phase-drift refinement. It works array at a time: peak choice, lobe fit,
+smoothing and refinement each treat all frames (or a batch of them) in one
+pass, with no Python loop over frames. Harmonic
 amplitudes are read off the magnitude STFT by local peak interpolation and
 window-gain normalization, so a unit-amplitude sinusoid measures as ~1.
 The noise spectrum is x's STFT magnitude beyond the harmonic reconstruction's
@@ -15,7 +15,13 @@ phases against the bank's phase-free render, which analyze does not call.
 
 All frame-level outputs take the frame count and the frame anchor from the
 spectral module's frame grid, so contours, amplitude matrices, and STFTs of the
-same signal line up frame for frame.
+same signal line up frame for frame. Every framed stage walks that grid in
+blocks of spectral.FRAME_BLOCK frames, cutting each block's rows with
+frame_view: the tracker's frame energies, its NCCF, its phase refinement, the
+STFT peak reads and the noise spectrum, which is written block by block into
+its output. The NCCF is taken only for loud frames, one peak-choice batch of
+_PEAK_BATCH of them at a time. No whole-clip spectrum or frame matrix is held,
+and each block's rows are bit for bit those of one whole-clip pass.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral import SpectralConfig, frame_anchor, frame_count, frame_view, stft
+from .spectral import FRAME_BLOCK, SpectralConfig, frame_anchor, frame_count, frame_view, stft
 from .synth import _phasor_blocks, harmonic_synthesize
 from .types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
@@ -36,10 +42,11 @@ _TINY = 1e-12
 # Largest change the phase-drift pass may make to a lag-domain f0 estimate.
 _MAX_CORRECTION_HZ = 3.0
 
-# Frames per block of the tracker's peak choice and phase refinement, so their
-# (frames, lags) and (frames, 4*hop) temporaries grow with the block, not with
-# the clip, and stay below the NCCF's own (frames, FFT size) spectra.
-_FRAME_BLOCK = 256
+# Loud frames per batch of the tracker's peak choice, so its (frames, lags)
+# temporaries grow with the batch, not with the clip. The lobe fit sums
+# zero-padded rows as wide as its batch's widest lobe, so the batch width
+# reaches f0's last bits.
+_PEAK_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -84,34 +91,53 @@ class AnalysisConfig:
             )
 
 
-def _nccf_frames(x: np.ndarray, hop: int, wlen: int, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized cross-correlation per frame for lags 0..max_lag.
+def _frame_rows(x: np.ndarray, hop: int, lead: int, length: int, frames: np.ndarray) -> np.ndarray:
+    """(frames.size, length) copy of the frame_view rows of the given ascending frames."""
+    return frame_view(x, hop, lead, length, frames[0], frames[-1] + 1)[frames - frames[0]]
 
-    Each frame correlates a wlen-sample base segment, centered on the frame
-    anchor, against itself shifted by the candidate lag. Returns (nccf,
-    base_energy) with nccf shape (frames, max_lag+1). base_energy owns its
-    data, and nccf is divided into the lag-energy matrix's own buffer, so nccf
-    is the only (frames, lags) matrix left when the call returns. The spectra
-    and the running sums are released as soon as they have been used.
+
+def _base_energy(x: np.ndarray, hop: int, wlen: int, max_lag: int) -> np.ndarray:
+    """Energy of every frame's wlen-sample NCCF base segment, a block of frames at a time.
+
+    The running sum of squares is the one _nccf_frames takes, so each value is
+    bit for bit the lag-0 energy of the frame's NCCF.
     """
     span = wlen + max_lag
-    segs = frame_view(x, hop, span // 2, span)
+    energy = np.empty(frame_count(len(x), hop))
+    for first in range(0, energy.size, FRAME_BLOCK):
+        base = frame_view(x, hop, span // 2, wlen, first, first + FRAME_BLOCK)
+        energy[first : first + len(base)] = np.cumsum(np.square(base), axis=1)[:, -1]
+    return energy
 
+
+def _nccf_frames(x: np.ndarray, hop: int, wlen: int, max_lag: int, frames: np.ndarray) -> np.ndarray:
+    """Normalized cross-correlation for lags 0..max_lag of each of the ascending frames.
+
+    Each frame correlates a wlen-sample base segment, centered on the frame
+    anchor, against itself shifted by the candidate lag. Returns shape
+    (frames.size, max_lag+1). The frames are taken FRAME_BLOCK at a time, so
+    the spectra and running sums grow with the block; every row depends on its
+    own frame alone.
+    """
+    span = wlen + max_lag
     n_fft = 1 << (span - 1).bit_length()
-    spec = np.conj(np.fft.rfft(segs[:, :wlen], n=n_fft, axis=1))
-    spec *= np.fft.rfft(segs, n=n_fft, axis=1)
-    corr = np.fft.irfft(spec, n=n_fft, axis=1)[:, : max_lag + 1]
-    del spec
+    nccf = np.empty((frames.size, max_lag + 1))
+    for start in range(0, frames.size, FRAME_BLOCK):
+        segs = _frame_rows(x, hop, span // 2, span, frames[start : start + FRAME_BLOCK])
+        spec = np.conj(np.fft.rfft(segs[:, :wlen], n=n_fft, axis=1))
+        spec *= np.fft.rfft(segs, n=n_fft, axis=1)
+        corr = np.fft.irfft(spec, n=n_fft, axis=1)[:, : max_lag + 1]
+        del spec
 
-    sq = np.zeros((len(segs), span + 1))
-    np.cumsum(np.square(segs), axis=1, out=sq[:, 1:])
-    lag_energy = sq[:, wlen : wlen + max_lag + 1] - sq[:, : max_lag + 1]
-    del sq
-    base_energy = lag_energy[:, 0].copy()
-    denom = np.multiply(base_energy[:, None], lag_energy, out=lag_energy)
-    np.maximum(denom, _TINY, out=denom)
-    np.sqrt(denom, out=denom)
-    return np.divide(corr, denom, out=denom), base_energy
+        sq = np.zeros((len(segs), span + 1))
+        np.cumsum(np.square(segs), axis=1, out=sq[:, 1:])
+        lag_energy = sq[:, wlen : wlen + max_lag + 1] - sq[:, : max_lag + 1]
+        del sq
+        denom = np.multiply(lag_energy[:, :1].copy(), lag_energy, out=lag_energy)
+        np.maximum(denom, _TINY, out=denom)
+        np.sqrt(denom, out=denom)
+        np.divide(corr, denom, out=nccf[start : start + len(segs)])
+    return nccf
 
 
 def _lobe_vertices(seg: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -221,14 +247,15 @@ def estimate_f0(x: Waveform, cfg: AnalysisConfig) -> F0Contour:
     # Correlating over two full periods of the lowest trackable pitch keeps
     # the refined lag stable under heavy additive noise.
     wlen = 2 * max_lag
-    nccf, base_energy = _nccf_frames(x.samples, hop, wlen, max_lag)
 
     lag = np.full(n_frames, np.nan)
     if max_lag - min_lag >= 2:  # a peak and both its neighbours fit in the lag range
-        loud = np.flatnonzero(base_energy >= wlen * cfg.silence_rms**2)
-        for start in range(0, loud.size, _FRAME_BLOCK):
-            m = loud[start : start + _FRAME_BLOCK]
-            lag[m] = _pick_peaks(nccf[m, min_lag:], min_lag, cfg.voicing_threshold)
+        loud = np.flatnonzero(_base_energy(x.samples, hop, wlen, max_lag) >= wlen * cfg.silence_rms**2)
+        # the NCCF is taken per batch of loud frames, never for silent ones
+        for start in range(0, loud.size, _PEAK_BATCH):
+            m = loud[start : start + _PEAK_BATCH]
+            nccf = _nccf_frames(x.samples, hop, wlen, max_lag, m)
+            lag[m] = _pick_peaks(nccf[:, min_lag:], min_lag, cfg.voicing_threshold)
     voiced = ~np.isnan(lag)
     values = np.zeros(n_frames)
     values[voiced] = np.clip(sr / lag[voiced], cfg.f0_min, cfg.f0_max)
@@ -258,7 +285,6 @@ def _phase_refine(x: np.ndarray, values: np.ndarray, voiced: np.ndarray, sr: int
     center = frame_anchor(frames, hop)
     # edge frames keep the lag-domain estimate
     frames = frames[(center >= half) & (center + half <= len(x))]
-    rows = frame_view(x, hop, half, 2 * half)
     # Each half is demodulated relative to its own first sample: the phase
     # e^{-iw*start} common to both halves cancels in c2 * conj(c1). Writing the
     # offset j = q*step + r factors e^{-iwj} into e^{-iwq*step} e^{-iwr}, about
@@ -267,12 +293,12 @@ def _phase_refine(x: np.ndarray, values: np.ndarray, voiced: np.ndarray, sr: int
     n_q = -(-half // step)
     r = np.arange(step)
     q = np.arange(n_q) * step
-    for start in range(0, frames.size, _FRAME_BLOCK):
-        m = frames[start : start + _FRAME_BLOCK]
+    for start in range(0, frames.size, FRAME_BLOCK):
+        m = frames[start : start + FRAME_BLOCK]
         f_hat = values[m]
         w = 2.0 * np.pi * f_hat / sr
         halves = np.zeros((m.size, 2, n_q * step))
-        halves[:, :, :half] = rows[m].reshape(m.size, 2, half) * taper
+        np.multiply(_frame_rows(x, hop, half, 2 * half, m).reshape(m.size, 2, half), taper, out=halves[:, :, :half])
         inner = halves.reshape(m.size, 2 * n_q, step) @ np.exp(-1j * w[:, None] * r)[:, :, None]
         sums = (inner.reshape(m.size, 2, n_q) * np.exp(-1j * w[:, None] * q)[:, None, :]).sum(axis=2)
         c1 = sums[:, 0]
@@ -293,26 +319,25 @@ def estimate_harmonics(
 
     Unvoiced frames and harmonics at or above Nyquist get amplitude 0. With
     refine_iters > 0, the estimate is multiplicatively corrected against a
-    resynthesized harmonic part.
+    resynthesized harmonic part. The STFTs are read a block of frames at a time.
     """
     if f0.hop_size != spectral.hop_size:
         raise ValueError(
             f"hop mismatch: contour hop {f0.hop_size} vs spectral hop {spectral.hop_size}"
         )
-    mag = np.abs(stft(x, spectral))
-    if mag.shape[0] != f0.frames:
+    n_frames = frame_count(len(x), spectral.hop_size)
+    if n_frames != f0.frames:
         raise ValueError(
-            f"frame count mismatch: contour has {f0.frames}, STFT has {mag.shape[0]}"
+            f"frame count mismatch: contour has {f0.frames}, STFT has {n_frames}"
         )
     pairs = _peak_pairs(f0, cfg, spectral, x.sample_rate, len(x))
-    target = _harmonics_from_magnitude(mag, pairs)
+    target = _harmonics_from_magnitude(lambda start, stop: stft(x, spectral, start, stop), pairs)
     values = target
 
     for _ in range(cfg.refine_iters):
         resynth = harmonic_synthesize(f0, HarmonicAmplitudes(values), x.sample_rate)
         resynth_wave = Waveform(resynth.samples[: len(x)], x.sample_rate)
-        resynth_mag = np.abs(stft(resynth_wave, spectral))
-        measured = _harmonics_from_magnitude(resynth_mag, pairs)
+        measured = _harmonics_from_magnitude(lambda start, stop: stft(resynth_wave, spectral, start, stop), pairs)
         ratio = np.where(measured > _TINY, target / np.maximum(measured, _TINY), 1.0)
         values = values * np.clip(ratio, 0.25, 4.0)
     return HarmonicAmplitudes(values)
@@ -342,8 +367,9 @@ class _PeakPairs(NamedTuple):
     """
 
     shape: tuple[int, int]  # (frames, k_max) of the amplitude matrix
-    cells: tuple[np.ndarray, np.ndarray]  # frame and column k - 1 of each pair
-    window: np.ndarray  # (pairs, 2*halfwidth + 1) bins searched for each peak
+    cells: tuple[np.ndarray, np.ndarray]  # frame (ascending) and column k - 1 of each pair
+    bins: np.ndarray  # bin nearest each pair's frequency
+    offsets: np.ndarray  # -halfwidth..halfwidth: each peak is searched in bins + offsets
     gain: np.ndarray  # coherent gain of each pair's frame
 
 
@@ -354,29 +380,38 @@ def _peak_pairs(
     freqs = f0.values[:, None] * np.arange(1, cfg.k_max + 1)
     cells = np.nonzero(f0.voiced[:, None] & (freqs < sample_rate / 2.0))
     bins = np.rint(freqs[cells] / (sample_rate / spectral.fft_size)).astype(int)
-    offs = np.arange(-cfg.peak_halfwidth_bins, cfg.peak_halfwidth_bins + 1)
-    window = np.clip(bins[:, None] + offs, 1, spectral.n_bins - 2)
+    offsets = np.arange(-cfg.peak_halfwidth_bins, cfg.peak_halfwidth_bins + 1)
     gains = _frame_gains(spectral, f0.frames, n_samples)
-    return _PeakPairs((f0.frames, cfg.k_max), cells, window, gains[cells[0]])
+    return _PeakPairs((f0.frames, cfg.k_max), cells, bins, offsets, gains[cells[0]])
 
 
-def _harmonics_from_magnitude(mag: np.ndarray, pairs: _PeakPairs) -> np.ndarray:
+def _harmonics_from_magnitude(spectra, pairs: _PeakPairs) -> np.ndarray:
     """(frames, k_max) amplitudes read off a magnitude STFT at the pairs, 0 elsewhere.
 
-    Each pair takes the largest 20*log10 magnitude in its search window,
-    interpolates the peak with a parabola through the two neighbouring bins,
-    and divides it by the frame's gain.
+    spectra(start, stop) returns the STFT rows of frames start .. stop - 1,
+    complex or already magnitudes; they are read a block of FRAME_BLOCK frames
+    at a time, and only for blocks that hold a pair. Each pair takes the
+    largest 20*log10 |S| in its search window, interpolates the peak with a
+    parabola through the two neighbouring bins, and divides it by the frame's
+    gain.
     """
-    db = 20.0 * np.log10(mag + _TINY)
-    frames = pairs.cells[0]
-    peak = pairs.window[np.arange(frames.size), np.argmax(db[frames[:, None], pairs.window], axis=1)]
-    alpha, beta, gamma = db[frames, peak - 1], db[frames, peak], db[frames, peak + 1]
-    denom = alpha - 2 * beta + gamma
-    delta = np.where(denom < -_TINY, 0.5 * (alpha - gamma) / np.where(denom < -_TINY, denom, -1.0), 0.0)
-    delta = np.clip(delta, -0.5, 0.5)
-    peak_db = beta - 0.25 * (alpha - gamma) * delta
     values = np.zeros(pairs.shape)
-    values[pairs.cells] = 10.0 ** (peak_db / 20.0) / pairs.gain
+    cell_frames, cell_cols = pairs.cells
+    for first in range(0, pairs.shape[0], FRAME_BLOCK):
+        lo, hi = np.searchsorted(cell_frames, (first, first + FRAME_BLOCK))
+        if lo == hi:
+            continue
+        spec = spectra(first, first + FRAME_BLOCK)
+        frames = cell_frames[lo:hi] - first
+        window = np.clip(pairs.bins[lo:hi, None] + pairs.offsets, 1, spec.shape[1] - 2)
+        db = 20.0 * np.log10(np.abs(spec) + _TINY)
+        peak = window[np.arange(frames.size), np.argmax(db[frames[:, None], window], axis=1)]
+        alpha, beta, gamma = db[frames, peak - 1], db[frames, peak], db[frames, peak + 1]
+        denom = alpha - 2 * beta + gamma
+        delta = np.where(denom < -_TINY, 0.5 * (alpha - gamma) / np.where(denom < -_TINY, denom, -1.0), 0.0)
+        delta = np.clip(delta, -0.5, 0.5)
+        peak_db = beta - 0.25 * (alpha - gamma) * delta
+        values[cell_frames[lo:hi], cell_cols[lo:hi]] = 10.0 ** (peak_db / 20.0) / pairs.gain[lo:hi]
     return values
 
 
@@ -410,15 +445,23 @@ def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> np.ndarra
 
 
 def estimate_noise(x: Waveform, harmonic: Waveform, spectral: SpectralConfig) -> NoiseMagnitudeSpectrum:
-    """Magnitude of x beyond the harmonic part: max(|X| - |H|, 0) per cell."""
+    """Magnitude of x beyond the harmonic part: max(|X| - |H|, 0) per cell.
+
+    Both STFTs are taken a block of frames at a time, straight into the output.
+    """
     if len(x) != len(harmonic):
         raise ValueError(f"length mismatch: {len(x)} vs {len(harmonic)}")
     if x.sample_rate != harmonic.sample_rate:
         raise ValueError(
             f"sample rate mismatch: {x.sample_rate} vs {harmonic.sample_rate}"
         )
-    residual = np.abs(stft(x, spectral)) - np.abs(stft(harmonic, spectral))
-    return NoiseMagnitudeSpectrum(np.maximum(residual, 0.0))
+    residual = np.empty((frame_count(len(x), spectral.hop_size), spectral.n_bins))
+    for first in range(0, len(residual), FRAME_BLOCK):
+        stop = first + FRAME_BLOCK
+        block = np.abs(stft(x, spectral, first, stop), out=residual[first:stop])
+        block -= np.abs(stft(harmonic, spectral, first, stop))
+        np.maximum(block, 0.0, out=block)
+    return NoiseMagnitudeSpectrum(residual)
 
 
 def analyze(
@@ -439,9 +482,9 @@ def analyze(
     f0 = estimate_f0(x, cfg)
     harmonics = estimate_harmonics(x, f0, cfg, spectral)
     rendered = harmonic_synthesize(f0, harmonics, x.sample_rate)
-    residual = estimate_noise(x, Waveform(rendered.samples[: len(x)], x.sample_rate), spectral)
+    noise = estimate_noise(x, Waveform(rendered.samples[: len(x)], x.sample_rate), spectral)
     # Frames under independent random phases overlap-add in power, so the noise
     # branch renders sqrt(hop / fft) of the magnitudes it is given; store what
     # it needs to render the residual at the level measured here.
-    noise = NoiseMagnitudeSpectrum(residual.values * math.sqrt(spectral.fft_size / spectral.hop_size))
+    np.multiply(noise.values, math.sqrt(spectral.fft_size / spectral.hop_size), out=noise.values)
     return f0, harmonics, noise

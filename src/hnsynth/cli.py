@@ -20,7 +20,7 @@ from .errors import FormatError
 from .features import analyze_bundle, load_features, render_bundle, save_features
 from .ioutil import atomic_write
 from .losses import f0_rmse
-from .spectral import log_mel, multi_resolution_configs, multi_resolution_spectrograms
+from .spectral import log_mel, multi_resolution_configs, stft_magnitude
 from .types import F0Contour, Waveform
 from .wavio import WAV_FORMATS, quantize, read_wav, write_wav
 
@@ -91,15 +91,20 @@ def _report(a: Waveform, b: Waveform, tool: ToolConfig, f0_b: F0Contour | None =
 
     The mel STFT is usually one of the multi-resolution ones (1024/256 at
     22.05 kHz, 2048/512 at 44.1 kHz), so each distinct config is taken once
-    per signal and the log-mel is built from its magnitudes.
+    per signal and the log-mel is built from its magnitudes. One config's pair
+    of magnitude matrices is held at a time, each filled a block of frames at a
+    time.
     """
     mrs_cfgs = multi_resolution_configs(tool.mrs_fft_sizes)
-    cfgs = list(dict.fromkeys([tool.mel.spectral, *mrs_cfgs]))
-    mags_a = dict(zip(cfgs, multi_resolution_spectrograms(a, cfgs)))
-    mags_b = dict(zip(cfgs, multi_resolution_spectrograms(b, cfgs)))
-    mel_a = log_mel(mags_a[tool.mel.spectral], a.sample_rate, tool.mel)
-    mel_b = log_mel(mags_b[tool.mel.spectral], b.sample_rate, tool.mel)
-    mel = float(np.abs(mel_a - mel_b).mean())
+    mrs = {}
+    for cfg in dict.fromkeys([tool.mel.spectral, *mrs_cfgs]):
+        mag_a, mag_b = stft_magnitude(a, cfg), stft_magnitude(b, cfg)
+        if cfg == tool.mel.spectral:
+            mel_a, mel_b = log_mel(mag_a, a.sample_rate, tool.mel), log_mel(mag_b, b.sample_rate, tool.mel)
+            mel = float(np.abs(mel_a - mel_b).mean())
+        if cfg in mrs_cfgs:
+            mrs[cfg] = np.abs(mag_a - mag_b).mean()
+        del mag_a, mag_b
     f0_a = estimate_f0(a, tool.analysis)
     if f0_b is None:
         f0_b = estimate_f0(b, tool.analysis)
@@ -107,7 +112,7 @@ def _report(a: Waveform, b: Waveform, tool: ToolConfig, f0_b: F0Contour | None =
         "mel_l1": mel,
         "dsp_loss": tool.weights.lambda_dsp * mel,
         "f0_rmse_hz": f0_rmse(f0_a, f0_b),
-        "mrs_l1": float(np.mean([np.abs(mags_a[c] - mags_b[c]).mean() for c in mrs_cfgs])),
+        "mrs_l1": float(np.mean([mrs[c] for c in mrs_cfgs])),
         "n_samples": len(a),
         "sample_rate": a.sample_rate,
     }

@@ -88,13 +88,14 @@ def analyze_bundle(x: Waveform, analysis: AnalysisConfig, spectral: SpectralConf
 
 def render_bundle(bundle: FeatureBundle, seed: int = 0) -> Waveform:
     """Synthesize the harmonic and noise branches of a bundle and sum them."""
-    harmonic = harmonic_synthesize(bundle.f0, bundle.harmonics, bundle.sample_rate)
-    noise = noise_synthesize(bundle.noise, bundle.spectral, seed, bundle.sample_rate)
-    return Waveform(harmonic.samples + noise.samples, bundle.sample_rate)
+    samples = harmonic_synthesize(bundle.f0, bundle.harmonics, bundle.sample_rate).samples
+    samples += noise_synthesize(bundle.noise, bundle.spectral, seed, bundle.sample_rate).samples
+    return Waveform(samples, bundle.sample_rate)
 
 
-def _payload(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
+def _payload(arr: np.ndarray) -> np.ndarray:
+    """arr as little-endian float32 in C order, written through its buffer with no bytes copy."""
+    return np.ascontiguousarray(arr, dtype="<f4")
 
 
 def save_features(bundle: FeatureBundle, path) -> None:

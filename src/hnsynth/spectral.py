@@ -8,6 +8,14 @@ a signal into one window per frame of that grid, placed by its offset from
 the anchor. The F0 tracker, the STFT and the synthesizer all take their grid
 from these functions, so framed features and STFTs of the same signal always
 line up.
+
+The framed stages walk the grid in blocks of FRAME_BLOCK frames: frame_view
+cuts any range of rows, copying only the samples those rows cover, stft takes
+the spectra of any range of frames, and istft overlap-adds a spectrogram given
+block by block, finishing each output sample as soon as the last frame over it
+is in. Every frame is computed from its own samples alone,
+so a block's rows are bit for bit those of the whole-signal transform, and no
+(frames, fft_size) matrix of a whole clip is held.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .types import Waveform
 
@@ -40,6 +48,12 @@ _COLA_TOL = 1e-10
 # Denominator floor when normalizing overlap-added window energy; positions
 # below it receive zero output (only ever hit inside the synthetic padding).
 _OLA_EPS = 1e-11
+
+# Frames per block of the framed stages (the STFT reads, the tracker's frame
+# energies and NCCF, the inverse STFT): their (frames, fft_size) temporaries
+# grow with the block, not with the clip. 64 frames of a 2048-point FFT keep
+# each complex block at 1 MiB.
+FRAME_BLOCK = 64
 
 
 @functools.lru_cache(maxsize=32)
@@ -67,18 +81,25 @@ def frame_count(n_samples: int, hop_size: int) -> int:
     return max(1, math.ceil(n_samples / hop_size))
 
 
-def frame_view(x: np.ndarray, hop_size: int, lead: int, length: int) -> np.ndarray:
-    """Read-only (frame_count(len(x), hop_size), length) view of x, zero-extended.
+def frame_view(
+    x: np.ndarray, hop_size: int, lead: int, length: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Read-only (rows, length) view of frames start .. stop - 1 of x, zero-extended.
 
     Row m holds samples frame_anchor(m) - lead .. frame_anchor(m) - lead + length - 1,
-    with zeros wherever that reaches past either end of x.
+    with zeros wherever that reaches past either end of x. stop defaults to, and
+    is capped at, frame_count(len(x), hop_size). Only the samples the rows cover
+    are copied.
     """
-    n_frames = frame_count(len(x), hop_size)
-    first = frame_anchor(0, hop_size) - lead  # first sample of row 0
-    before = max(0, -first)
-    after = max(0, frame_anchor(n_frames - 1, hop_size) - lead + length - len(x))
-    xp = np.pad(x, (before, after))
-    return sliding_window_view(xp, length)[first + before :: hop_size][:n_frames]
+    stop = frame_count(len(x), hop_size) if stop is None else min(stop, frame_count(len(x), hop_size))
+    first = frame_anchor(start, hop_size) - lead  # first sample of the first row
+    end = frame_anchor(stop - 1, hop_size) - lead + length  # one past the last row's last sample
+    xp = np.zeros(end - first)
+    a, b = max(first, 0), min(end, len(x))
+    if a < b:
+        xp[a - first : b - first] = x[a:b]
+    step = xp.strides[0]
+    return as_strided(xp, (stop - start, length), (hop_size * step, step), writeable=False)
 
 
 @dataclass(frozen=True)
@@ -153,12 +174,20 @@ def multi_resolution_configs(fft_sizes=MRS_FFT_SIZES) -> list[SpectralConfig]:
     return [SpectralConfig(fft_size=n, hop_size=n // 4, win_size=n) for n in fft_sizes]
 
 
-def stft(x: Waveform, cfg: SpectralConfig) -> np.ndarray:
-    """Complex spectrogram, shape (frames, fft_size//2 + 1)."""
+def stft(x: Waveform, cfg: SpectralConfig, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Complex spectra of frames start .. stop - 1 (default all), shape (frames, fft_size//2 + 1)."""
     if len(x) == 0:
         raise ValueError("cannot take the STFT of an empty signal")
-    frames = frame_view(x.samples, cfg.hop_size, cfg.fft_size // 2, cfg.fft_size)
+    frames = frame_view(x.samples, cfg.hop_size, cfg.fft_size // 2, cfg.fft_size, start, stop)
     return np.fft.rfft(frames * cfg.window_array(), n=cfg.fft_size, axis=1)
+
+
+def stft_magnitude(x: Waveform, cfg: SpectralConfig) -> np.ndarray:
+    """|stft(x, cfg)|, filled a block of frames at a time, so no whole complex spectrogram is held."""
+    mag = np.empty((frame_count(len(x), cfg.hop_size), cfg.n_bins))
+    for first in range(0, len(mag), FRAME_BLOCK):
+        np.abs(stft(x, cfg, first, first + FRAME_BLOCK), out=mag[first : first + FRAME_BLOCK])
+    return mag
 
 
 def require_cola(cfg: SpectralConfig) -> None:
@@ -170,44 +199,71 @@ def require_cola(cfg: SpectralConfig) -> None:
         )
 
 
-def istft(S: np.ndarray, cfg: SpectralConfig, out_len: int) -> np.ndarray:
+def istft(S, cfg: SpectralConfig, out_len: int) -> np.ndarray:
     """Overlap-add inverse STFT with window-energy normalization.
 
+    S is a (frames, n_bins) spectrogram, or an iterator over its blocks of rows
+    in frame order, so a caller can make the spectrogram a block at a time.
     Requires a COLA-satisfying config; output has length exactly out_len.
     """
-    S = np.asarray(S)
-    if S.ndim != 2 or S.shape[1] != cfg.n_bins:
-        raise ValueError(f"spectrogram must have {cfg.n_bins} bins, got shape {S.shape}")
+    if hasattr(S, "__next__"):  # an iterator over row blocks
+        blocks = S
+    else:
+        S = np.asarray(S)
+        if S.ndim != 2 or S.shape[1] != cfg.n_bins:
+            raise ValueError(f"spectrogram must have {cfg.n_bins} bins, got shape {S.shape}")
+        blocks = (S[m : m + FRAME_BLOCK] for m in range(0, S.shape[0], FRAME_BLOCK))
     require_cola(cfg)
     if out_len < 0:
         raise ValueError("out_len must be non-negative")
     fft, hop = cfg.fft_size, cfg.hop_size
     w = cfg.window_array()
-    n_frames = S.shape[0]
-    total = (n_frames - 1) * hop + fft
-    frames = np.fft.irfft(S, n=fft, axis=1)
-    frames *= w
-
-    acc = np.zeros(total)
-    wsum = np.zeros(total)
     w2 = w * w
-    for m in range(n_frames):
-        s = m * hop
-        acc[s : s + fft] += frames[m]
-        wsum[s : s + fft] += w2
-    out = np.where(wsum > _OLA_EPS, acc / np.maximum(wsum, _OLA_EPS), 0.0)
+    out = np.zeros(out_len)
+    # acc and wsum hold the output timeline from sample `base` of the padded
+    # signal on: the frames' overlap-added sum and their window energy. Each
+    # sample is summed over its frames in frame order, as one pass over the
+    # whole spectrogram would, and written out once no later frame covers it.
+    acc = wsum = np.zeros(0)
+    base = 0
+    for block in blocks:
+        if block.ndim != 2 or block.shape[1] != cfg.n_bins:
+            raise ValueError(f"spectrogram must have {cfg.n_bins} bins, got shape {block.shape}")
+        frames = np.fft.irfft(block, n=fft, axis=1)
+        frames *= w
+        span = (len(frames) - 1) * hop + fft
+        acc, wsum = _extend(acc, span), _extend(wsum, span)
+        for m in range(len(frames)):
+            s = m * hop
+            acc[s : s + fft] += frames[m]
+            wsum[s : s + fft] += w2
+        done = len(frames) * hop
+        _normalize_into(out, base - cfg.pad_left, acc[:done], wsum[:done])
+        acc, wsum, base = acc[done:], wsum[done:], base + done
+    _normalize_into(out, base - cfg.pad_left, acc, wsum)
+    return out
 
-    out = out[cfg.pad_left :]
-    if len(out) >= out_len:
-        return np.ascontiguousarray(out[:out_len])
-    return np.pad(out, (0, out_len - len(out)))
+
+def _extend(buf: np.ndarray, length: int) -> np.ndarray:
+    """buf's values followed by zeros, at least length samples long."""
+    out = np.zeros(max(length, len(buf)))
+    out[: len(buf)] = buf
+    return out
+
+
+def _normalize_into(out: np.ndarray, at: int, acc: np.ndarray, wsum: np.ndarray) -> None:
+    """Write acc / wsum (0 where wsum is negligible) into out from index at, clipped to out."""
+    lo, hi = max(at, 0), min(at + len(acc), len(out))
+    if lo < hi:
+        a, ws = acc[lo - at : hi - at], wsum[lo - at : hi - at]
+        out[lo:hi] = np.where(ws > _OLA_EPS, a / np.maximum(ws, _OLA_EPS), 0.0)
 
 
 def multi_resolution_spectrograms(x: Waveform, cfgs: list[SpectralConfig]) -> list[np.ndarray]:
     """Magnitude STFT under each config, order preserved."""
     if not cfgs:
         raise ValueError("need at least one spectral config")
-    return [np.abs(stft(x, cfg)) for cfg in cfgs]
+    return [stft_magnitude(x, cfg) for cfg in cfgs]
 
 
 # ---------------------------------------------------------------------------
@@ -305,4 +361,4 @@ def mel_spectrogram(x: Waveform, cfg: MelConfig) -> np.ndarray:
     """Log-compressed mel magnitudes, shape (frames, n_mels)."""
     if len(x) == 0:
         raise ValueError("cannot take the mel spectrogram of an empty signal")
-    return log_mel(np.abs(stft(x, cfg.spectral)), x.sample_rate, cfg)
+    return log_mel(stft_magnitude(x, cfg.spectral), x.sample_rate, cfg)

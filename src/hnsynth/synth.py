@@ -3,8 +3,9 @@
 The harmonic bank renders y(n) = sum_k H_k(n) sin(phi_k(n)) with
 phi_k(n) = k*psi(n), where psi is the running sum of the per-sample
 fundamental frequency (inclusive of sample n, i.e. psi(n) covers samples
-0..n) accumulated once, in extended precision, by cumulative_phase. No phase
-is stored or passed: every harmonic starts from the accumulated f0 alone.
+0..n) accumulated once, in extended precision, with cumulative_phase's
+arithmetic. No phase is stored or passed: every harmonic starts from the
+accumulated f0 alone.
 
 Frame values reach the samples through one segment grid: the output is laid
 out as frames + 1 rows of hop samples whose boundaries fall on the frame
@@ -18,19 +19,22 @@ the last sample. A walk lays f0(n) out on whole rows and sets it to 0 on the
 grid samples outside the signal, so those count as unvoiced like any other,
 and the bank crops its output from the grid once.
 
-The bank walks the grid in blocks of a few dozen whole rows. In each block one
-walker, _Block.harmonics, takes z = e^{i psi(n)} once and steps the phasor
-recurrence z_k = z_{k-1} * z from ones, so sin(phi_k) is Im(z_k) and no
-harmonic calls sin; each live harmonic fills one row of a (harmonics, block
-samples) sine matrix. The walker alone silences (sample, harmonic) pairs, for
-the bank and the read-only phase diagnostic (analysis.estimate_initial_phases)
-alike: z is 0 on unvoiced samples, and pairs whose k*f0(n) reaches Nyquist are
-zeroed. The cap is per block: harmonics at or above Nyquist / (block's min
-voiced f0) are never walked, and only those at or above Nyquist / (block's max
-f0) pay for the per-sample mask. A global cap cannot replace this, because
-interpolation ramps f0 to zero across half a hop into unvoiced frames, so every
-harmonic is live somewhere near every gap. Zero amplitude columns are skipped
-block by block.
+The bank walks the grid in blocks of a few dozen whole rows. Each block lays
+out its own f0(n) and continues the extended-precision sum of f0(n) from the
+block before, adding the carry to its first sample ahead of the running sum, so
+psi is bit for bit that of one whole-length sum and no whole-length f0(n) or
+psi is held. In each block one walker, _Block.harmonics, takes z = e^{i psi(n)}
+once and steps the phasor recurrence z_k = z_{k-1} * z from ones, so sin(phi_k)
+is Im(z_k) and no harmonic calls sin; each live harmonic fills one row of a
+(harmonics, block samples) sine matrix. The walker alone silences (sample,
+harmonic) pairs, for the bank and the read-only phase diagnostic
+(analysis.estimate_initial_phases) alike: z is 0 on unvoiced samples, and pairs
+whose k*f0(n) reaches Nyquist are zeroed. The cap is per block: harmonics at or
+above Nyquist / (block's min voiced f0) are never walked, and only those at or
+above Nyquist / (block's max f0) pay for the per-sample mask. A global cap
+cannot replace this, because interpolation ramps f0 to zero across half a hop
+into unvoiced frames, so every harmonic is live somewhere near every gap. Zero
+amplitude columns are skipped block by block.
 
 Harmonic k's amplitude reads start_k[r] + slope_k[r] * j, so the amplitudes
 are applied by a batched matrix product: the (rows, 2, harmonics) start and
@@ -40,7 +44,10 @@ applied once per sample, not once per harmonic. The matrix is filled and
 contracted a slice of a few harmonics at a time, the partial sums adding up,
 so each slice is still in cache when it is read back.
 
-The noise branch inverts a magnitude spectrogram with uniformly random phase.
+The noise branch inverts a magnitude spectrogram with uniformly random phase,
+a block of spectral.FRAME_BLOCK frames at a time: each block draws its phases,
+is inverted and is overlap-added before the next is drawn. The draws come from
+one generator in C order, so they are those of one whole-matrix draw.
 Both branches are pure functions; the noise branch is pure given its seed.
 """
 
@@ -50,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import SpectralConfig, frame_anchor, istft
+from .spectral import FRAME_BLOCK, SpectralConfig, frame_anchor, istft
 from .types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
 # Grid rows per block: enough to amortize numpy's per-call overhead, few enough
@@ -129,30 +136,42 @@ class _Block(NamedTuple):
 def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
     """Walk the segment grid in blocks of _BLOCK_ROWS whole rows, for a signal of n samples.
 
-    f0(n) is 0 on the grid samples before sample 0 and from sample n on. Yields a
-    _Block for every block with a voiced sample; the others carry no harmonic.
+    f0(n) is 0 on the grid samples before sample 0 and from sample n on. Each
+    block lays out its own f0(n) and continues the extended-precision running
+    sum of the blocks before it, so psi(n) is bit for bit cumulative_phase of
+    the whole-length f0(n). Yields a _Block for every block with a voiced
+    sample; the others carry no harmonic.
     """
     hop = f0.hop_size
     nyquist = sample_rate / 2.0
     start, slope = _segment_grid(f0.values, hop)
-    f0n = slope[:, None] * np.arange(hop, dtype=np.float64)
-    f0n += start[:, None]
-    f0n = f0n.reshape(-1)
+    offsets = np.arange(hop, dtype=np.float64)
     lead = -frame_anchor(-1, hop)  # grid samples before sample 0
-    f0n[:lead] = 0.0
-    f0n[lead + n :] = 0.0
-    psi = cumulative_phase(f0n, sample_rate)
     total_rows = f0.frames + 1
+    carry = np.longdouble(0.0)  # sum of f0(n) over the blocks before this one
     for r0 in range(0, total_rows, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, total_rows)
-        samples = slice(r0 * hop, r1 * hop)
-        f = f0n[samples]
+        f = slope[r0:r1, None] * offsets
+        f += start[r0:r1, None]
+        f = f.reshape(-1)
+        # grid sample i is signal sample i - lead; f0(n) is 0 outside the signal
+        f[: max(0, lead - r0 * hop)] = 0.0
+        f[max(0, lead + n - r0 * hop) :] = 0.0
+        # cumulative_phase's arithmetic, with the carry added to the first
+        # sample before the sum, the order in which one whole-length sum adds it
+        psi = f.astype(np.longdouble)
+        psi[0] += carry
+        np.cumsum(psi, out=psi)
+        carry = psi[-1]
         voiced = f > 0
         if not voiced.any():
             continue
+        psi /= sample_rate
+        psi *= 2 * np.pi
+        psi = psi.astype(np.float64)
         z = np.empty(f.size, dtype=np.complex128)
-        np.cos(psi[samples], out=z.real)
-        np.sin(psi[samples], out=z.imag)
+        np.cos(psi, out=z.real)
+        np.sin(psi, out=z.imag)
         z[~voiced] = 0.0
         yield _Block(
             rows=slice(r0, r1),
@@ -233,6 +252,14 @@ def noise_synthesize(
             f"noise spectrum has {noise.bins} bins but config expects {spectral.n_bins}"
         )
     rng = np.random.default_rng(seed)
-    spec = np.exp(1j * rng.uniform(-np.pi, np.pi, size=noise.values.shape))
-    spec *= noise.values
-    return Waveform(istft(spec, spectral, noise.frames * spectral.hop_size), sample_rate)
+
+    def spectra():
+        # uniform fills in C order, so drawing block after block from one
+        # generator gives each frame the phases of one whole-matrix draw
+        for first in range(0, noise.frames, FRAME_BLOCK):
+            mags = noise.values[first : first + FRAME_BLOCK]
+            spec = np.exp(1j * rng.uniform(-np.pi, np.pi, size=mags.shape))
+            spec *= mags
+            yield spec
+
+    return Waveform(istft(spectra(), spectral, noise.frames * spectral.hop_size), sample_rate)

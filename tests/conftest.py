@@ -4,6 +4,8 @@ All generators are deterministic given their arguments; randomized tests
 seed their own Generator so failures reproduce.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,16 @@ def harmonic_tone(f0_hz, sr, seconds, amps, wobble=0.0, wobble_hz=1.5):
     for k, a in enumerate(amps, start=1):
         x += a * env * np.sin(2 * np.pi * k * f0_hz * t)
     return Waveform(x, sr)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(peak bytes tracemalloc sees allocated while fn(*args, **kwargs) runs, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def constant_contour(f0_hz, frames, hop):

@@ -6,21 +6,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hnsynth.analysis import (
+    _PEAK_BATCH,
     AnalysisConfig,
+    _base_energy,
     _harmonics_from_magnitude,
     _nccf_frames,
     _peak_pairs,
     _phase_refine,
     _pick_peaks,
+    _smooth_voiced,
     analyze,
     estimate_f0,
     estimate_harmonics,
     estimate_initial_phases,
     estimate_noise,
 )
-from hnsynth.spectral import MelConfig, SpectralConfig, frame_anchor, frame_count, frame_view, mel_spectrogram, stft
+from hnsynth.spectral import (
+    FRAME_BLOCK,
+    MelConfig,
+    SpectralConfig,
+    frame_anchor,
+    frame_count,
+    mel_spectrogram,
+    stft,
+)
 from hnsynth.synth import cumulative_phase, harmonic_synthesize
 from hnsynth.types import F0Contour, HarmonicAmplitudes, Waveform
 
@@ -189,7 +201,7 @@ def _frozen_estimate_f0(x, cfg):
     max_lag = int(math.ceil(sr / cfg.f0_min))
     min_lag = max(2, int(math.floor(sr / cfg.f0_max)))
     wlen = 2 * max_lag
-    nccf, base_energy = _nccf_frames(x.samples, hop, wlen, max_lag)
+    nccf, base_energy = _frozen_nccf_frames(x.samples, hop, wlen, max_lag)
 
     energy_floor = wlen * cfg.silence_rms**2
     values = np.zeros(n_frames)
@@ -267,7 +279,7 @@ def test_tracker_with_fewer_than_three_lags_is_unvoiced():
 def _frozen_nccf_frames(x, hop, wlen, max_lag):
     # the arithmetic of the version that kept every temporary alive
     span = wlen + max_lag
-    segs = frame_view(x, hop, span // 2, span)
+    segs = _whole_frame_view(x, hop, span // 2, span)
     n_fft = 1 << (span - 1).bit_length()
     spec_base = np.fft.rfft(segs[:, :wlen], n=n_fft, axis=1)
     spec_seg = np.fft.rfft(segs, n=n_fft, axis=1)
@@ -280,14 +292,15 @@ def _frozen_nccf_frames(x, hop, wlen, max_lag):
 
 @pytest.mark.parametrize("sr, hop", [(8000, 512), (22050, 256), (44100, 300)])
 def test_nccf_matches_frozen_nccf_and_owns_its_energy(sr, hop):
-    # base_energy must not be a view into the (frames, max_lag + 1) energy
-    # matrix, which would then stay alive through peak choice, smoothing and
-    # phase refinement; the values stay bit for bit those of the frozen copy
+    # the NCCF of the frames asked for and the block-wise frame energies are bit
+    # for bit those of the frozen whole-clip copy; base_energy must own its data,
+    # not keep a (frames, max_lag + 1) matrix alive through the tracker
     rng = np.random.default_rng(sr)
     x = harmonic_tone(180.0, sr, 0.7, [0.5, 0.3, 0.1]).samples
     x = x + 0.05 * rng.standard_normal(x.size)
     max_lag = math.ceil(sr / 70.0)
-    nccf, base_energy = _nccf_frames(x, hop, 2 * max_lag, max_lag)
+    nccf = _nccf_frames(x, hop, 2 * max_lag, max_lag, np.arange(frame_count(x.size, hop)))
+    base_energy = _base_energy(x, hop, 2 * max_lag, max_lag)
     expected_nccf, expected_energy = _frozen_nccf_frames(x, hop, 2 * max_lag, max_lag)
     assert base_energy.flags.owndata
     assert nccf.tobytes() == expected_nccf.tobytes()
@@ -566,7 +579,7 @@ def _frozen_harmonics_from_magnitude(mag, f0, cfg, spectral, sample_rate, n_samp
     sr=st.sampled_from([8000, 22050, 44100]),
     fft_size=st.sampled_from([64, 256, 1024]),
     hop_frac=st.floats(min_value=0.0, max_value=1.0),
-    frames=st.integers(min_value=1, max_value=40),
+    frames=st.integers(min_value=1, max_value=2 * FRAME_BLOCK + 1),
     short=st.integers(min_value=0, max_value=10_000),
     k_max=st.integers(min_value=1, max_value=100),
     halfwidth=st.integers(min_value=1, max_value=3),
@@ -575,7 +588,8 @@ def _frozen_harmonics_from_magnitude(mag, f0, cfg, spectral, sample_rate, n_samp
 def test_peak_reader_matches_per_frame_reader(sr, fft_size, hop_frac, frames, short, k_max, halfwidth, seed):
     # hops are odd and even alike; the contour mixes unvoiced runs, low pitches
     # that keep every harmonic, pitches near Nyquist that keep only some, and
-    # pitches whose harmonic k lands on Nyquist itself
+    # pitches whose harmonic k lands on Nyquist itself; the frames fill up to
+    # three of the reader's blocks
     hop = max(1, round(hop_frac * fft_size))
     spectral = SpectralConfig(fft_size=fft_size, hop_size=hop, win_size=fft_size)
     cfg = AnalysisConfig(hop_size=hop, k_max=k_max, peak_halfwidth_bins=halfwidth)
@@ -592,7 +606,8 @@ def test_peak_reader_matches_per_frame_reader(sr, fft_size, hop_frac, frames, sh
     mag[rng.random(mag.shape) < 0.1] = 0.0
     n_samples = frames * hop - short % hop
 
-    got = _harmonics_from_magnitude(mag, _peak_pairs(contour, cfg, spectral, sr, n_samples))
+    pairs = _peak_pairs(contour, cfg, spectral, sr, n_samples)
+    got = _harmonics_from_magnitude(lambda start, stop: mag[start:stop], pairs)
     expected = _frozen_harmonics_from_magnitude(mag, contour, cfg, spectral, sr, n_samples)
     assert got.tobytes() == expected.tobytes()
 
@@ -654,3 +669,154 @@ def test_config_validation():
         AnalysisConfig(refine_iters=-1)
     with pytest.raises(ValueError):
         AnalysisConfig(median_width=4)
+
+
+# ------------------------------------------ block walk against whole-clip code
+#
+# The analysis as it was before it walked the frame grid in blocks: one frame
+# view of the whole padded clip per pass, the NCCF of every frame, and one
+# whole-clip STFT per read. The block walk must reproduce it bit for bit.
+
+
+def _whole_frame_view(x, hop, lead, length):
+    n_frames = frame_count(len(x), hop)
+    first = frame_anchor(0, hop) - lead
+    before = max(0, -first)
+    after = max(0, frame_anchor(n_frames - 1, hop) - lead + length - len(x))
+    xp = np.pad(x, (before, after))
+    return sliding_window_view(xp, length)[first + before :: hop][:n_frames]
+
+
+def _whole_stft(x, cfg):
+    frames = _whole_frame_view(x.samples, cfg.hop_size, cfg.fft_size // 2, cfg.fft_size)
+    return np.fft.rfft(frames * cfg.window_array(), n=cfg.fft_size, axis=1)
+
+
+def _whole_phase_refine(x, values, voiced, sr, hop):
+    values = values.copy()
+    half = 2 * hop
+    taper = np.hanning(half + 1)[:-1]
+    frames = np.flatnonzero(voiced)
+    center = frame_anchor(frames, hop)
+    frames = frames[(center >= half) & (center + half <= len(x))]
+    rows = _whole_frame_view(x, hop, half, 2 * half)
+    step = math.isqrt(half - 1) + 1
+    n_q = -(-half // step)
+    r = np.arange(step)
+    q = np.arange(n_q) * step
+    for start in range(0, frames.size, 256):
+        m = frames[start : start + 256]
+        f_hat = values[m]
+        w = 2.0 * np.pi * f_hat / sr
+        halves = np.zeros((m.size, 2, n_q * step))
+        halves[:, :, :half] = rows[m].reshape(m.size, 2, half) * taper
+        inner = halves.reshape(m.size, 2 * n_q, step) @ np.exp(-1j * w[:, None] * r)[:, :, None]
+        sums = (inner.reshape(m.size, 2, n_q) * np.exp(-1j * w[:, None] * q)[:, None, :]).sum(axis=2)
+        c1 = sums[:, 0]
+        c2 = sums[:, 1] * np.exp(-1j * w * half)
+        ok = np.minimum(np.abs(c1), np.abs(c2)) >= 1e-12
+        correction = np.angle(c2[ok] * np.conj(c1[ok])) * sr / (2 * np.pi * half)
+        values[m[ok]] = f_hat[ok] + np.clip(correction, -3.0, 3.0)
+    return values
+
+
+def _whole_estimate_f0(x, cfg):
+    sr, hop = x.sample_rate, cfg.hop_size
+    n_frames = frame_count(len(x), hop)
+    max_lag = int(math.ceil(sr / cfg.f0_min))
+    min_lag = max(2, int(math.floor(sr / cfg.f0_max)))
+    wlen = 2 * max_lag
+    nccf, base_energy = _frozen_nccf_frames(x.samples, hop, wlen, max_lag)
+    lag = np.full(n_frames, np.nan)
+    if max_lag - min_lag >= 2:
+        loud = np.flatnonzero(base_energy >= wlen * cfg.silence_rms**2)
+        for start in range(0, loud.size, 256):
+            m = loud[start : start + 256]
+            lag[m] = _pick_peaks(nccf[m, min_lag:], min_lag, cfg.voicing_threshold)
+    voiced = ~np.isnan(lag)
+    values = np.zeros(n_frames)
+    values[voiced] = np.clip(sr / lag[voiced], cfg.f0_min, cfg.f0_max)
+    values = _smooth_voiced(values, voiced, cfg.median_width)
+    return _whole_phase_refine(x.samples, values, voiced, sr, hop)
+
+
+def _whole_estimate_harmonics(x, f0, cfg, spectral):
+    sr = x.sample_rate
+
+    def read(w):
+        return _frozen_harmonics_from_magnitude(np.abs(_whole_stft(w, spectral)), f0, cfg, spectral, sr, len(x))
+
+    target = read(x)
+    values = target
+    for _ in range(cfg.refine_iters):
+        resynth = harmonic_synthesize(f0, HarmonicAmplitudes(values), sr)
+        measured = read(Waveform(resynth.samples[: len(x)], sr))
+        ratio = np.where(measured > 1e-12, target / np.maximum(measured, 1e-12), 1.0)
+        values = values * np.clip(ratio, 0.25, 4.0)
+    return values
+
+
+def _whole_estimate_noise(x, harmonic, spectral):
+    return np.maximum(np.abs(_whole_stft(x, spectral)) - np.abs(_whole_stft(harmonic, spectral)), 0.0)
+
+
+BLOCK_SR = 16000
+BLOCK_SPECTRAL = SpectralConfig(fft_size=512, hop_size=128, win_size=512)
+BLOCK_ANA = AnalysisConfig(hop_size=BLOCK_SPECTRAL.hop_size)
+
+
+def _block_clip(frames, seed, silent_frames=0):
+    """A sung tone of exactly `frames` frames: vibrato, a glide, a fading and
+    swelling level, noise, and optionally a run of exact silence mid-clip."""
+    hop = BLOCK_SPECTRAL.hop_size
+    n = frames * hop - hop // 3
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / BLOCK_SR
+    f0 = rng.uniform(110.0, 300.0) * 2 ** ((t / t[-1] + 0.4 * np.sin(2 * np.pi * 5.0 * t)) / 12)
+    psi = 2 * np.pi * np.cumsum(f0) / BLOCK_SR
+    x = sum(np.sin(k * psi + rng.uniform(0, 2 * np.pi)) / k for k in range(1, 8))
+    x *= 0.3 * (1.2 + np.sin(2 * np.pi * 0.7 * t))
+    x += 0.02 * rng.standard_normal(n)
+    if silent_frames:
+        start = (frames - silent_frames) // 2 * hop
+        x[start : start + silent_frames * hop] = 0.0
+    assert frame_count(n, hop) == frames
+    return Waveform(x, BLOCK_SR)
+
+
+_BLOCK_FRAMES = [FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 1]
+
+
+@pytest.mark.parametrize(
+    "frames, silent",
+    [(f, 0) for f in _BLOCK_FRAMES] + [(4 * FRAME_BLOCK, FRAME_BLOCK + 9), (2 * _PEAK_BATCH + 3, 0)],
+)
+def test_tracker_blocks_match_whole_clip_tracker_bit_for_bit(frames, silent):
+    # frames of block - 1, block, block + 1 and 2 * block + 1; a silent run longer
+    # than a block, whose frames never enter the NCCF; and loud frames that fill
+    # more than two peak-choice batches
+    x = _block_clip(frames, frames + silent, silent)
+    got = estimate_f0(x, BLOCK_ANA).values
+    assert np.array_equal(got, _whole_estimate_f0(x, BLOCK_ANA))
+    max_lag = math.ceil(BLOCK_SR / BLOCK_ANA.f0_min)
+    loud = _base_energy(x.samples, BLOCK_ANA.hop_size, 2 * max_lag, max_lag) >= 2 * max_lag * BLOCK_ANA.silence_rms**2
+    if silent:
+        assert (~loud).sum() > FRAME_BLOCK
+    if frames > _PEAK_BATCH:
+        assert loud.sum() > 2 * _PEAK_BATCH
+    assert (got > 0).sum() > frames // 2
+
+
+@pytest.mark.parametrize("frames", _BLOCK_FRAMES)
+def test_analysis_blocks_match_whole_clip_reads_bit_for_bit(frames):
+    # the peak reads (target and refine) and the noise spectrum take their
+    # STFTs a block at a time; analyze scales the noise in place
+    x = _block_clip(frames, frames)
+    f0, harmonics, noise = analyze(x, BLOCK_ANA, BLOCK_SPECTRAL)
+    assert np.array_equal(harmonics.values, _whole_estimate_harmonics(x, f0, BLOCK_ANA, BLOCK_SPECTRAL))
+    rendered = Waveform(harmonic_synthesize(f0, harmonics, BLOCK_SR).samples[: len(x)], BLOCK_SR)
+    residual = _whole_estimate_noise(x, rendered, BLOCK_SPECTRAL)
+    assert np.array_equal(estimate_noise(x, rendered, BLOCK_SPECTRAL).values, residual)
+    scale = math.sqrt(BLOCK_SPECTRAL.fft_size / BLOCK_SPECTRAL.hop_size)
+    assert np.array_equal(noise.values, residual * scale)
+    assert harmonics.values.any() and residual.any()

@@ -260,10 +260,22 @@ def test_report_takes_each_distinct_stft_once(tmp_path, tone_wav, monkeypatch, c
         argv += ["--config", str(cfg)]
     taken = []
     stft = spectral.stft
-    monkeypatch.setattr(spectral, "stft", lambda w, c: taken.append(c) or stft(w, c))
+
+    def counted(w, c, *frames):
+        spec = stft(w, c, *frames)
+        taken.append((id(w.samples), c, len(spec)))
+        return spec
+
+    monkeypatch.setattr(spectral, "stft", counted)
     assert cli_main(argv) == 0
     monkeypatch.undo()
-    assert len(taken) == stfts
+    # the STFTs are taken a block of frames at a time: every frame of each
+    # (signal, config) once
+    frames = {}
+    for signal, c, rows in taken:
+        frames[signal, c] = frames.get((signal, c), 0) + rows
+    assert len(frames) == stfts
+    assert all(rows == spectral.frame_count(len(x), c.hop_size) for (_, c), rows in frames.items())
     report = json.loads(capsys.readouterr().out)
 
     # the same values, bit for bit, as one STFT per metric and signal

@@ -15,6 +15,8 @@ from hnsynth.spectral import MelConfig, SpectralConfig, mel_filterbank, stft
 from hnsynth.synth import harmonic_synthesize, noise_synthesize
 from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
+from conftest import traced_peak
+
 SPEC = SpectralConfig()
 ANA = AnalysisConfig(hop_size=SPEC.hop_size)
 
@@ -202,6 +204,31 @@ def test_render_bundle_sums_the_two_branches(rng):
     assert y.sample_rate == b.sample_rate
     assert np.array_equal(y.samples, harmonic.samples + noise.samples)
 
+
+
+def _sung_tone(seconds, sr=44100):
+    t = np.arange(seconds * sr) / sr
+    psi = 2 * np.pi * np.cumsum(220.0 * 2 ** (0.3 * np.sin(2 * np.pi * 5.0 * t) / 12)) / sr
+    x = sum(0.3 / k * np.sin(k * psi) for k in range(1, 11))
+    return Waveform(x + 0.01 * np.random.default_rng(seconds).standard_normal(t.size), sr)
+
+
+def test_analyze_and_render_memory_grows_less_than_48_bytes_per_sample():
+    # Every framed stage runs over blocks of frames, so what grows with the clip
+    # is what is kept: the input, the harmonic render, the bundle's matrices
+    # (the noise alone is 16 B per sample at 2048/512) and the output. The
+    # whole-clip spectra and frame matrices grew the peaks by 110 and 105 B per
+    # sample; blocked, 25.6 and 16.0 B were measured.
+    tool = build_tool_config(44100)
+    peaks, lengths = [], []
+    for seconds in (5, 30):
+        x = _sung_tone(seconds)
+        analyze_peak, bundle = traced_peak(analyze_bundle, x, tool.analysis, tool.spectral)
+        peaks.append((analyze_peak, traced_peak(render_bundle, bundle)[0]))
+        lengths.append(len(x))
+    extra = lengths[1] - lengths[0]
+    analyze_growth, render_growth = ((b - a) / extra for a, b in zip(*peaks))
+    assert analyze_growth < 48 and render_growth < 48
 
 
 @pytest.mark.parametrize("sample_rate", [22050, 44100])

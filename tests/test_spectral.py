@@ -78,9 +78,12 @@ def test_frame_count_is_ceil_of_hops():
     hop=st.integers(min_value=1, max_value=64),
     lead=st.integers(min_value=0, max_value=100),
     length=st.integers(min_value=1, max_value=100),
+    first=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    rows=st.integers(min_value=1, max_value=400),
 )
-def test_frame_view_rows_are_slices_of_zero_extended_signal(n, hop, lead, length):
-    # lead may fall below hop // 2, so row 0 can start inside the signal
+def test_frame_view_rows_are_slices_of_zero_extended_signal(n, hop, lead, length, first, rows):
+    # lead may fall below hop // 2, so row 0 can start inside the signal; a
+    # range of rows (its stop capped at the frame count) is cut on its own
     x = np.arange(1.0, n + 1.0)
     frames = frame_view(x, hop, lead, length)
     assert frames.shape == (frame_count(n, hop), length)
@@ -90,6 +93,10 @@ def test_frame_view_rows_are_slices_of_zero_extended_signal(n, hop, lead, length
     for m, row in enumerate(frames):
         start = pad + frame_anchor(m, hop) - lead
         assert np.array_equal(row, ext[start : start + length])
+    start = int(first * frame_count(n, hop))
+    part = frame_view(x, hop, lead, length, start, start + rows)
+    assert not part.flags.writeable
+    assert np.array_equal(part, frames[start : start + rows])
 
 
 def test_default_spectral_tracks_sample_rate():

@@ -1,14 +1,13 @@
 """Synthesis core: phase accumulation, harmonic bank, and noise branch."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnsynth.analysis import estimate_initial_phases
-from hnsynth.spectral import SpectralConfig, default_spectral, frame_anchor, stft
+from hnsynth import synth
+from hnsynth.spectral import FRAME_BLOCK, SpectralConfig, default_spectral, frame_anchor, stft
 from hnsynth.synth import (
     _BLOCK_ROWS,
     _SLICE_HARMONICS,
@@ -19,7 +18,7 @@ from hnsynth.synth import (
 )
 from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
-from conftest import constant_amps, constant_contour
+from conftest import constant_amps, constant_contour, traced_peak
 
 
 # ---------------------------------------------------------------- phase
@@ -244,17 +243,12 @@ def test_bank_matches_per_column_reference_dense_15s():
 
 
 def test_bank_memory_stays_bounded_dense_15s():
-    # The whole-length arrays (f0(n), its extended-precision running sum, the
-    # output) set the peak; the bank's per-block sine matrix and sums must stay
-    # well below it rather than grow with the block or the clip.
+    # The output grid (5.3 MiB) and the amplitude ramps (1 MiB each) set the
+    # peak: f0(n) and its extended-precision running sum are laid out one block
+    # of rows at a time, like the bank's sine matrix and sums. Measured 10.8 MiB;
+    # the bound leaves 2.2 MiB, less than one whole-length f0(n) or psi.
     contour, harmonics, sr = _dense_15s()
-    tracemalloc.start()
-    try:
-        harmonic_synthesize(contour, harmonics, sr)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 30 * 2**20
+    assert traced_peak(harmonic_synthesize, contour, harmonics, sr)[0] < 13 * 2**20
 
 
 def test_bank_matches_per_column_reference_across_block_edges():
@@ -287,6 +281,64 @@ def test_bank_matches_per_column_reference_across_block_edges():
     assert 0 < np.count_nonzero(blocks[2].f0) < blocks[2].f0.size
     got = harmonic_synthesize(contour, harmonics, sr).samples
     assert np.abs(got - _frozen_bank(contour, harmonics, sr)).max() <= 1e-9
+
+
+def _whole_phasor_blocks(f0, sample_rate, n, k_max):
+    """The walk as it was with whole-length f0(n) and psi, each block cut from them."""
+    hop = f0.hop_size
+    nyquist = sample_rate / 2.0
+    start, slope = synth._segment_grid(f0.values, hop)
+    f0n = slope[:, None] * np.arange(hop, dtype=np.float64)
+    f0n += start[:, None]
+    f0n = f0n.reshape(-1)
+    lead = -frame_anchor(-1, hop)
+    f0n[:lead] = 0.0
+    f0n[lead + n :] = 0.0
+    psi = cumulative_phase(f0n, sample_rate)
+    total_rows = f0.frames + 1
+    for r0 in range(0, total_rows, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, total_rows)
+        samples = slice(r0 * hop, r1 * hop)
+        f = f0n[samples]
+        voiced = f > 0
+        if not voiced.any():
+            continue
+        z = np.empty(f.size, dtype=np.complex128)
+        np.cos(psi[samples], out=z.real)
+        np.sin(psi[samples], out=z.imag)
+        z[~voiced] = 0.0
+        yield synth._Block(
+            rows=slice(r0, r1),
+            z=z,
+            f0=f,
+            nyquist=nyquist,
+            k_free=synth._harmonics_below(float(f.max()), nyquist, k_max),
+            k_live=synth._harmonics_below(float(f[voiced].min()), nyquist, k_max),
+        )
+
+
+@pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1, 7 * _BLOCK_ROWS])
+def test_bank_block_walk_matches_whole_length_phase_bit_for_bit(rows, monkeypatch):
+    # each block carries the extended-precision sum of f0(n) into the next, so
+    # psi, every block's phasors and the render are those of one whole-length
+    # sum; an unvoiced block in the middle still carries its (zero) sum, and the
+    # second n ends the signal inside the grid's last block
+    sr, hop, k_max = 22050, 97, 9
+    frames = rows - 1
+    rng = np.random.default_rng(rows)
+    f0 = rng.uniform(80.0, 700.0, frames).astype(np.float32).astype(np.float64)
+    f0[frames // 3 : frames // 3 + _BLOCK_ROWS + 2] = 0.0
+    contour = F0Contour.from_values(f0, hop)
+    amps = HarmonicAmplitudes(rng.uniform(0.0, 0.5, (frames, k_max)))
+    for n in (frames * hop, frames * hop - hop - 3):
+        got, want = list(_phasor_blocks(contour, sr, n, k_max)), list(_whole_phasor_blocks(contour, sr, n, k_max))
+        assert [b.rows for b in got] == [b.rows for b in want]
+        for b, w in zip(got, want):
+            assert np.array_equal(b.z, w.z) and np.array_equal(b.f0, w.f0)
+            assert (b.k_free, b.k_live) == (w.k_free, w.k_live)
+    got = harmonic_synthesize(contour, amps, sr).samples
+    monkeypatch.setattr(synth, "_phasor_blocks", _whole_phasor_blocks)
+    assert np.array_equal(got, harmonic_synthesize(contour, amps, sr).samples)
 
 
 @pytest.mark.parametrize("sr", [8000, 22050, 44100])
@@ -433,20 +485,27 @@ def test_noise_matches_frozen_two_expression_form_bit_for_bit(fft, hop, win):
     assert np.array_equal(got, _frozen_noise(mags, cfg, 11))
 
 
+@pytest.mark.parametrize("frames", [FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 1])
+@pytest.mark.parametrize("fft, hop, win", [(256, 64, 256), (512, 96, 384)])
+def test_noise_blocks_match_whole_matrix_draw_bit_for_bit(frames, fft, hop, win):
+    # the phases are drawn, inverted and overlap-added block by block; the draws
+    # are one generator's in C order and each output sample sums its frames in
+    # frame order, so the samples are those of one whole-matrix pass
+    cfg = SpectralConfig(fft_size=fft, hop_size=hop, win_size=win)
+    mags = NoiseMagnitudeSpectrum(np.random.default_rng(frames).uniform(0, 0.02, (frames, cfg.n_bins)))
+    got = noise_synthesize(mags, cfg, seed=frames, sample_rate=22050).samples
+    assert np.array_equal(got, _frozen_noise(mags, cfg, frames))
+
+
 def test_noise_memory_holds_one_spectrum_less_dense_15s():
-    # the magnitudes are 10 MiB and the complex spectrum 20 MiB; the magnitudes
-    # multiply into the phasors in place and the inverse STFT windows its
-    # frames in place, so no second spectrum-sized buffer is held
+    # the magnitudes are 10 MiB and their complex spectrum would be 20 MiB; the
+    # phases are drawn, inverted and overlap-added a block of frames at a time,
+    # so the 5 MiB output and one block's buffers set the peak. Measured 9.7 MiB;
+    # the bound leaves 2.3 MiB, less than a quarter of the magnitudes.
     cfg = default_spectral(44100)
     mags = NoiseMagnitudeSpectrum(np.random.default_rng(5).uniform(0, 0.01, (1292, cfg.n_bins)))
     assert np.array_equal(noise_synthesize(mags, cfg, 1, 44100).samples, _frozen_noise(mags, cfg, 1))
-    tracemalloc.start()
-    try:
-        noise_synthesize(mags, cfg, 1, 44100)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 65 * 2**20
+    assert traced_peak(noise_synthesize, mags, cfg, 1, 44100)[0] < 12 * 2**20
 
 
 def test_noise_bin_count_must_match_config():
