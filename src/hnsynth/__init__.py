@@ -34,7 +34,6 @@ from .spectral import (
     mel_filterbank,
     mel_spectrogram,
     multi_resolution_configs,
-    multi_resolution_spectrograms,
     stft,
 )
 from .synth import cumulative_phase, harmonic_synthesize, noise_synthesize
@@ -79,7 +78,6 @@ __all__ = [
     "mel_l1",
     "mel_spectrogram",
     "multi_resolution_configs",
-    "multi_resolution_spectrograms",
     "noise_synthesize",
     "parse_config_file",
     "read_wav",

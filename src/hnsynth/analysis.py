@@ -3,8 +3,8 @@
 The tracker is a normalized-autocorrelation (NCCF) pitch detector with
 parabolic peak refinement, a median and mean filter over voiced runs, and a
 phase-drift refinement. It works array at a time: peak choice, lobe fit,
-smoothing and refinement each treat all frames (or a batch of them) in one
-pass, with no Python loop over frames. Harmonic
+smoothing and refinement each treat all frames (or a block of them) in one
+pass, with no Python loop over frames or over subharmonic divisors. Harmonic
 amplitudes are read off the magnitude STFT by local peak interpolation and
 window-gain normalization, so a unit-amplitude sinusoid measures as ~1.
 The noise spectrum is x's STFT magnitude beyond the harmonic reconstruction's
@@ -17,11 +17,12 @@ All frame-level outputs take the frame count and the frame anchor from the
 spectral module's frame grid, so contours, amplitude matrices, and STFTs of the
 same signal line up frame for frame. Every framed stage walks that grid in
 blocks of spectral.FRAME_BLOCK frames, cutting each block's rows with
-frame_view: the tracker's frame energies, its NCCF, its phase refinement, the
+frame_view: the tracker's NCCF and peak choice, its phase refinement, the
 STFT peak reads and the noise spectrum, which is written block by block into
-its output. The NCCF is taken only for loud frames, one peak-choice batch of
-_PEAK_BATCH of them at a time. No whole-clip spectrum or frame matrix is held,
-and each block's rows are bit for bit those of one whole-clip pass.
+its output. The NCCF's FFTs take only the block's frames at or above the
+silence floor. No whole-clip spectrum or frame matrix is held, and each
+frame's values depend on its own samples alone, so each block's rows are bit
+for bit those of one whole-clip pass, whatever the block size.
 """
 
 from __future__ import annotations
@@ -41,12 +42,6 @@ _TINY = 1e-12
 
 # Largest change the phase-drift pass may make to a lag-domain f0 estimate.
 _MAX_CORRECTION_HZ = 3.0
-
-# Loud frames per batch of the tracker's peak choice, so its (frames, lags)
-# temporaries grow with the batch, not with the clip. The lobe fit sums
-# zero-padded rows as wide as its batch's widest lobe, so the batch width
-# reaches f0's last bits.
-_PEAK_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -91,53 +86,40 @@ class AnalysisConfig:
             )
 
 
-def _frame_rows(x: np.ndarray, hop: int, lead: int, length: int, frames: np.ndarray) -> np.ndarray:
-    """(frames.size, length) copy of the frame_view rows of the given ascending frames."""
-    return frame_view(x, hop, lead, length, frames[0], frames[-1] + 1)[frames - frames[0]]
+def _nccf(segs: np.ndarray, wlen: int, max_lag: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized cross-correlation for lags 0..max_lag of the rows of segs at or above floor.
 
-
-def _base_energy(x: np.ndarray, hop: int, wlen: int, max_lag: int) -> np.ndarray:
-    """Energy of every frame's wlen-sample NCCF base segment, a block of frames at a time.
-
-    The running sum of squares is the one _nccf_frames takes, so each value is
-    bit for bit the lag-0 energy of the frame's NCCF.
+    Each row holds a frame's wlen-sample base segment and the max_lag samples
+    after it; the base is correlated against itself shifted by each lag.
+    Returns the NCCF of the rows whose base energy reaches floor, shape (those
+    rows, max_lag + 1), and every row's base energy. Both come from one running
+    sum of squares, taken over every row's base and carried on over the loud
+    rows alone, so the energy is bit for bit the NCCF's lag-0 energy. Only the
+    loud rows are transformed: a block with none takes no FFT.
     """
-    span = wlen + max_lag
-    energy = np.empty(frame_count(len(x), hop))
-    for first in range(0, energy.size, FRAME_BLOCK):
-        base = frame_view(x, hop, span // 2, wlen, first, first + FRAME_BLOCK)
-        energy[first : first + len(base)] = np.cumsum(np.square(base), axis=1)[:, -1]
-    return energy
-
-
-def _nccf_frames(x: np.ndarray, hop: int, wlen: int, max_lag: int, frames: np.ndarray) -> np.ndarray:
-    """Normalized cross-correlation for lags 0..max_lag of each of the ascending frames.
-
-    Each frame correlates a wlen-sample base segment, centered on the frame
-    anchor, against itself shifted by the candidate lag. Returns shape
-    (frames.size, max_lag+1). The frames are taken FRAME_BLOCK at a time, so
-    the spectra and running sums grow with the block; every row depends on its
-    own frame alone.
-    """
-    span = wlen + max_lag
-    n_fft = 1 << (span - 1).bit_length()
-    nccf = np.empty((frames.size, max_lag + 1))
-    for start in range(0, frames.size, FRAME_BLOCK):
-        segs = _frame_rows(x, hop, span // 2, span, frames[start : start + FRAME_BLOCK])
+    span = segs.shape[1]
+    sq = np.empty((len(segs), span + 1))
+    sq[:, 0] = 0.0
+    np.cumsum(np.square(segs[:, :wlen]), axis=1, out=sq[:, 1 : wlen + 1])
+    energy = sq[:, wlen].copy()
+    loud = energy >= floor
+    segs, sq = segs[loud], sq[loud]
+    nccf = np.empty((len(segs), max_lag + 1))
+    if len(segs):
+        np.square(segs[:, wlen:], out=sq[:, wlen + 1 :])
+        np.cumsum(sq[:, wlen:], axis=1, out=sq[:, wlen:])
+        lag_energy = sq[:, wlen : wlen + max_lag + 1] - sq[:, : max_lag + 1]
+        del sq
+        n_fft = 1 << (span - 1).bit_length()
         spec = np.conj(np.fft.rfft(segs[:, :wlen], n=n_fft, axis=1))
         spec *= np.fft.rfft(segs, n=n_fft, axis=1)
         corr = np.fft.irfft(spec, n=n_fft, axis=1)[:, : max_lag + 1]
         del spec
-
-        sq = np.zeros((len(segs), span + 1))
-        np.cumsum(np.square(segs), axis=1, out=sq[:, 1:])
-        lag_energy = sq[:, wlen : wlen + max_lag + 1] - sq[:, : max_lag + 1]
-        del sq
         denom = np.multiply(lag_energy[:, :1].copy(), lag_energy, out=lag_energy)
         np.maximum(denom, _TINY, out=denom)
         np.sqrt(denom, out=denom)
-        np.divide(corr, denom, out=nccf[start : start + len(segs)])
-    return nccf
+        np.divide(corr, denom, out=nccf)
+    return nccf, energy
 
 
 def _lobe_vertices(seg: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -163,10 +145,16 @@ def _lobe_vertices(seg: np.ndarray, i: np.ndarray) -> np.ndarray:
     v = np.where(inside, idx - centre[:, None], 0.0)
     # The lags sit symmetrically about the centre, so 1, v and v^2 - mean(v^2)
     # are orthogonal over them and each coefficient is a ratio of two sums.
+    # Each sum runs left to right, so the zeros after a row's lobe, as many as
+    # the widest lobe of the batch sets, leave its bits as they are alone.
+    def total(a):
+        return np.cumsum(a, axis=1)[:, -1]
+
     v2 = v * v
-    p2 = np.where(inside, v2 - v2.sum(axis=1, keepdims=True) / inside.sum(axis=1, keepdims=True), 0.0)
-    a = (p2 * y).sum(axis=1) / (p2 * p2).sum(axis=1)
-    b = (v * y).sum(axis=1) / v2.sum(axis=1)
+    s2 = total(v2)
+    p2 = np.where(inside, v2 - (s2 / inside.sum(axis=1))[:, None], 0.0)
+    a = total(p2 * y) / total(p2 * p2)
+    b = total(v * y) / s2
     curved = a < -_TINY
     vertex = centre - b / (2.0 * np.where(curved, a, -1.0))
     return np.where(curved, np.clip(vertex, lo, hi), i)
@@ -187,21 +175,19 @@ def _pick_peaks(seg: np.ndarray, min_lag: int, threshold: float) -> np.ndarray:
     best_idx = np.argmax(seg, axis=1)
     best = seg[rows, best_idx]
     lag0 = min_lag + best_idx
-    chosen = best_idx.copy()
-    pending = np.ones(n, dtype=bool)
-    # Each divisor looks 2 lags either side of lag0 / div; the largest divisor
-    # whose window holds a near-best peak wins.
-    offsets = np.arange(-2, 3)
-    for div in range((min_lag + width - 1) // min_lag, 1, -1):
-        live = np.flatnonzero(pending & (lag0 // min_lag >= div))
-        window = np.rint(lag0[live] / div - min_lag).astype(int)[:, None] + offsets
-        local = np.where(
-            (window >= 0) & (window < width), seg[live[:, None], np.clip(window, 0, width - 1)], -np.inf
-        )
-        pick = np.argmax(local, axis=1)
-        hit = local[np.arange(live.size), pick] >= 0.9 * best[live]
-        chosen[live[hit]] = window[hit, pick[hit]]
-        pending[live[hit]] = False
+    # Each divisor, largest first, looks 2 lags either side of lag0 / div; the
+    # first whose window holds a near-best peak wins. Divisor 1 stands for
+    # lag0 itself, which wins when no other does.
+    divs = np.arange((min_lag + width - 1) // min_lag, 0, -1)
+    window = np.rint(lag0[:, None] / divs - min_lag).astype(int)[:, :, None] + np.arange(-2, 3)
+    inside = (window >= 0) & (window < width)
+    local = np.where(inside, seg[rows[:, None, None], np.clip(window, 0, width - 1)], -np.inf)
+    pick = np.argmax(local, axis=2)[:, :, None]
+    hit = np.take_along_axis(local, pick, axis=2)[:, :, 0] >= 0.9 * best[:, None]
+    hit &= lag0[:, None] // min_lag >= divs
+    candidates = np.take_along_axis(window, pick, axis=2)[:, :, 0]
+    hit[:, -1], candidates[:, -1] = True, best_idx
+    chosen = candidates[rows, np.argmax(hit, axis=1)]
 
     i = np.clip(chosen, 1, width - 2)
     lag = np.full(n, np.nan)
@@ -248,14 +234,16 @@ def estimate_f0(x: Waveform, cfg: AnalysisConfig) -> F0Contour:
     # the refined lag stable under heavy additive noise.
     wlen = 2 * max_lag
 
+    floor = wlen * cfg.silence_rms**2
     lag = np.full(n_frames, np.nan)
     if max_lag - min_lag >= 2:  # a peak and both its neighbours fit in the lag range
-        loud = np.flatnonzero(_base_energy(x.samples, hop, wlen, max_lag) >= wlen * cfg.silence_rms**2)
-        # the NCCF is taken per batch of loud frames, never for silent ones
-        for start in range(0, loud.size, _PEAK_BATCH):
-            m = loud[start : start + _PEAK_BATCH]
-            nccf = _nccf_frames(x.samples, hop, wlen, max_lag, m)
-            lag[m] = _pick_peaks(nccf[:, min_lag:], min_lag, cfg.voicing_threshold)
+        for first in range(0, n_frames, FRAME_BLOCK):
+            segs = frame_view(x.samples, hop, (wlen + max_lag) // 2, wlen + max_lag, first, first + FRAME_BLOCK)
+            nccf, energy = _nccf(segs, wlen, max_lag, floor)
+            if len(nccf):
+                lag[first + np.flatnonzero(energy >= floor)] = _pick_peaks(
+                    nccf[:, min_lag:], min_lag, cfg.voicing_threshold
+                )
     voiced = ~np.isnan(lag)
     values = np.zeros(n_frames)
     values[voiced] = np.clip(sr / lag[voiced], cfg.f0_min, cfg.f0_max)
@@ -281,10 +269,9 @@ def _phase_refine(x: np.ndarray, values: np.ndarray, voiced: np.ndarray, sr: int
     # Hann-weighting each half suppresses the -2f image and neighboring
     # harmonics that would otherwise bias the phase step.
     taper = np.hanning(half + 1)[:-1]
-    frames = np.flatnonzero(voiced)
-    center = frame_anchor(frames, hop)
     # edge frames keep the lag-domain estimate
-    frames = frames[(center >= half) & (center + half <= len(x))]
+    center = frame_anchor(np.arange(len(values)), hop)
+    refinable = voiced & (center >= half) & (center + half <= len(x))
     # Each half is demodulated relative to its own first sample: the phase
     # e^{-iw*start} common to both halves cancels in c2 * conj(c1). Writing the
     # offset j = q*step + r factors e^{-iwj} into e^{-iwq*step} e^{-iwr}, about
@@ -293,12 +280,16 @@ def _phase_refine(x: np.ndarray, values: np.ndarray, voiced: np.ndarray, sr: int
     n_q = -(-half // step)
     r = np.arange(step)
     q = np.arange(n_q) * step
-    for start in range(0, frames.size, FRAME_BLOCK):
-        m = frames[start : start + FRAME_BLOCK]
+    for first in range(0, len(values), FRAME_BLOCK):
+        rows = np.flatnonzero(refinable[first : first + FRAME_BLOCK])
+        if not rows.size:
+            continue
+        m = first + rows
         f_hat = values[m]
         w = 2.0 * np.pi * f_hat / sr
         halves = np.zeros((m.size, 2, n_q * step))
-        np.multiply(_frame_rows(x, hop, half, 2 * half, m).reshape(m.size, 2, half), taper, out=halves[:, :, :half])
+        block = frame_view(x, hop, half, 2 * half, first, first + FRAME_BLOCK)
+        np.multiply(block[rows].reshape(m.size, 2, half), taper, out=halves[:, :, :half])
         inner = halves.reshape(m.size, 2 * n_q, step) @ np.exp(-1j * w[:, None] * r)[:, :, None]
         sums = (inner.reshape(m.size, 2, n_q) * np.exp(-1j * w[:, None] * q)[:, None, :]).sum(axis=2)
         c1 = sums[:, 0]
@@ -468,9 +459,11 @@ def analyze(
     x: Waveform,
     cfg: AnalysisConfig,
     spectral: SpectralConfig,
+    f0: F0Contour | None = None,
 ) -> tuple[F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum]:
     """Full feature extraction: F0 contour, harmonic amplitudes, noise spectrum.
 
+    f0, when given, is estimate_f0(x, cfg), which is then not tracked again.
     The noise spectrum is x's STFT magnitude beyond the harmonic render's
     (estimate_noise), so no phase is fitted and the features are amplitude-only;
     it is scaled so that noise_synthesize renders it at its own level.
@@ -479,7 +472,8 @@ def analyze(
         raise ValueError(
             f"hop mismatch: analysis hop {cfg.hop_size} vs spectral hop {spectral.hop_size}"
         )
-    f0 = estimate_f0(x, cfg)
+    if f0 is None:
+        f0 = estimate_f0(x, cfg)
     harmonics = estimate_harmonics(x, f0, cfg, spectral)
     rendered = harmonic_synthesize(f0, harmonics, x.sample_rate)
     noise = estimate_noise(x, Waveform(rendered.samples[: len(x)], x.sample_rate), spectral)

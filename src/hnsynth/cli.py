@@ -138,11 +138,12 @@ def _cmd_synth(args) -> int:
 def _cmd_resynth(args) -> int:
     x = read_wav(args.input)
     tool = _tool_config(args, x.sample_rate)
-    bundle = analyze_bundle(x, tool.analysis, tool.spectral)
-    rendered = render_bundle(bundle, seed=tool.seed)
+    # x's contour as estimate_f0 gives it, for the report: the bundle's is rounded to float32
+    f0 = estimate_f0(x, tool.analysis)
+    rendered = render_bundle(analyze_bundle(x, tool.analysis, tool.spectral, f0), seed=tool.seed)
     # score the samples as written, before writing them: a report that fails leaves no WAV
     y, clipped = quantize(Waveform(rendered.samples[: len(x)], x.sample_rate), args.format)
-    report = _report(y, x, tool, bundle.f0)
+    report = _report(y, x, tool, f0)
     report["clipped_samples"] = clipped
     write_wav(y, args.output, args.format)
     _emit_report(report, args.report)

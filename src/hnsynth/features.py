@@ -80,9 +80,22 @@ class FeatureBundle:
         return self.spectral.hop_size
 
 
-def analyze_bundle(x: Waveform, analysis: AnalysisConfig, spectral: SpectralConfig) -> FeatureBundle:
-    """Analyze a waveform into the bundle of its features and configs."""
-    f0, harmonics, noise = analyze(x, analysis, spectral)
+def analyze_bundle(
+    x: Waveform, analysis: AnalysisConfig, spectral: SpectralConfig, f0: F0Contour | None = None
+) -> FeatureBundle:
+    """Analyze a waveform into the bundle of its features and configs.
+
+    f0, when given, is estimate_f0(x, analysis); the bundle holds a copy. The
+    features are rounded to the float32 values a saved bundle stores, so
+    rendering this bundle gives the samples that rendering its saved file does.
+    A feature beyond float32's range raises ValueError, as no bundle can hold it.
+    """
+    f0, harmonics, noise = analyze(x, analysis, spectral, f0)
+    for values in (harmonics.values, noise.values):
+        if values.max(initial=0.0) > np.finfo(np.float32).max:
+            raise ValueError("a feature value lies beyond float32's range")
+        values[...] = values.astype(np.float32)
+    f0 = F0Contour(f0.hop_size, f0.values.astype(np.float32))
     return FeatureBundle(f0, harmonics, noise, x.sample_rate, spectral, analysis)
 
 

@@ -259,13 +259,6 @@ def _normalize_into(out: np.ndarray, at: int, acc: np.ndarray, wsum: np.ndarray)
         out[lo:hi] = np.where(ws > _OLA_EPS, a / np.maximum(ws, _OLA_EPS), 0.0)
 
 
-def multi_resolution_spectrograms(x: Waveform, cfgs: list[SpectralConfig]) -> list[np.ndarray]:
-    """Magnitude STFT under each config, order preserved."""
-    if not cfgs:
-        raise ValueError("need at least one spectral config")
-    return [stft_magnitude(x, cfg) for cfg in cfgs]
-
-
 # ---------------------------------------------------------------------------
 # Mel filterbank (Slaney scale, area-normalized) and log-mel extraction.
 #

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from hnsynth import analysis
 from hnsynth.analysis import (
-    _PEAK_BATCH,
     AnalysisConfig,
-    _base_energy,
     _harmonics_from_magnitude,
-    _nccf_frames,
+    _nccf,
     _peak_pairs,
     _phase_refine,
     _pick_peaks,
@@ -292,19 +291,18 @@ def _frozen_nccf_frames(x, hop, wlen, max_lag):
 
 @pytest.mark.parametrize("sr, hop", [(8000, 512), (22050, 256), (44100, 300)])
 def test_nccf_matches_frozen_nccf_and_owns_its_energy(sr, hop):
-    # the NCCF of the frames asked for and the block-wise frame energies are bit
-    # for bit those of the frozen whole-clip copy; base_energy must own its data,
-    # not keep a (frames, max_lag + 1) matrix alive through the tracker
+    # the NCCF and the frame energies of every row are bit for bit those of the
+    # frozen whole-clip copy; the energy must own its data, not keep a
+    # (frames, max_lag + 1) matrix alive through the tracker
     rng = np.random.default_rng(sr)
     x = harmonic_tone(180.0, sr, 0.7, [0.5, 0.3, 0.1]).samples
     x = x + 0.05 * rng.standard_normal(x.size)
     max_lag = math.ceil(sr / 70.0)
-    nccf = _nccf_frames(x, hop, 2 * max_lag, max_lag, np.arange(frame_count(x.size, hop)))
-    base_energy = _base_energy(x, hop, 2 * max_lag, max_lag)
+    nccf, energy = _nccf(_whole_frame_view(x, hop, 3 * max_lag // 2, 3 * max_lag), 2 * max_lag, max_lag, 0.0)
     expected_nccf, expected_energy = _frozen_nccf_frames(x, hop, 2 * max_lag, max_lag)
-    assert base_energy.flags.owndata
+    assert energy.flags.owndata
     assert nccf.tobytes() == expected_nccf.tobytes()
-    assert base_energy.tobytes() == expected_energy.tobytes()
+    assert energy.tobytes() == expected_energy.tobytes()
 
 
 def test_tracker_matches_per_frame_tracker_at_the_edges():
@@ -351,6 +349,49 @@ def test_peak_choice_matches_per_frame_peak_choice(min_lag, seg):
         assert math.isnan(lag)
     else:
         assert abs(lag - expected) <= 1e-12 * expected
+
+
+def test_peak_choice_of_a_batch_is_each_rows_own_bit_for_bit():
+    # broad lobes (a sine in noise) next to narrow ones (a rich tone): the
+    # zeros the widest lobe sets after every narrower one must not reach its bits
+    sr, hop = 44100, 512
+    max_lag, min_lag = math.ceil(sr / 70.0), sr // 800
+    broad = sine(100.0, sr, 1.0).samples + 0.3 * np.random.default_rng(0).standard_normal(sr)
+    narrow = harmonic_tone(180.0, sr, 1.0, [0.5 / k for k in range(1, 9)]).samples
+    seg = np.concatenate(
+        [_frozen_nccf_frames(x, hop, 2 * max_lag, max_lag)[0][20:40, min_lag:] for x in (broad, narrow)]
+    )
+    alone = np.concatenate([_pick_peaks(row[None, :], min_lag, 0.3) for row in seg])
+    assert not np.isnan(alone).any()
+    assert _pick_peaks(seg, min_lag, 0.3).tobytes() == alone.tobytes()
+
+
+def test_tracker_output_does_not_depend_on_the_block_size(monkeypatch):
+    # digital silence at the start and across the block edges at frames 64 and 128
+    samples = _block_clip(200, 7).samples.copy()
+    for first, stop in [(0, 5), (58, 70), (120, 140)]:
+        samples[first * BLOCK_ANA.hop_size : stop * BLOCK_ANA.hop_size] = 0.0
+    x = Waveform(samples, BLOCK_SR)
+    tracks = []
+    for block in (1, 7, 64, 10**6):
+        monkeypatch.setattr(analysis, "FRAME_BLOCK", block)
+        tracks.append(estimate_f0(x, BLOCK_ANA).values)
+    assert all(t.tobytes() == tracks[0].tobytes() for t in tracks)
+    assert (tracks[0] > 0).sum() > 100 and (tracks[0][60:68] == 0).all()
+
+
+def test_tracker_takes_no_fft_for_a_block_below_the_silence_floor(monkeypatch):
+    # frames 56..135 are silent, so every base segment of the block of frames
+    # 64..127 is too; the blocks either side are loud and take two FFTs each
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+    x = _block_clip(3 * FRAME_BLOCK, 3, silent_frames=80)
+    assert estimate_f0(x, BLOCK_ANA).voiced[: FRAME_BLOCK // 2].any()
+    assert len(calls) == 4
+    calls.clear()
+    assert not estimate_f0(Waveform(np.zeros(x.samples.size), BLOCK_SR), BLOCK_ANA).voiced.any()
+    assert not calls
 
 
 def test_phase_refinement_skips_demodulation_sums_below_tiny():
@@ -789,21 +830,23 @@ _BLOCK_FRAMES = [FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK 
 
 @pytest.mark.parametrize(
     "frames, silent",
-    [(f, 0) for f in _BLOCK_FRAMES] + [(4 * FRAME_BLOCK, FRAME_BLOCK + 9), (2 * _PEAK_BATCH + 3, 0)],
+    [(f, 0) for f in _BLOCK_FRAMES] + [(4 * FRAME_BLOCK, FRAME_BLOCK + 9), (400, 70), (2 * 256 + 3, 0)],
 )
 def test_tracker_blocks_match_whole_clip_tracker_bit_for_bit(frames, silent):
-    # frames of block - 1, block, block + 1 and 2 * block + 1; a silent run longer
+    # frames of block - 1, block, block + 1 and 2 * block + 1; silent runs longer
     # than a block, whose frames never enter the NCCF; and loud frames that fill
-    # more than two peak-choice batches
+    # more than one of the reference's batches of 256 loud frames, which group
+    # them otherwise than the blocks do when a silent run lies before frame 256
     x = _block_clip(frames, frames + silent, silent)
     got = estimate_f0(x, BLOCK_ANA).values
     assert np.array_equal(got, _whole_estimate_f0(x, BLOCK_ANA))
     max_lag = math.ceil(BLOCK_SR / BLOCK_ANA.f0_min)
-    loud = _base_energy(x.samples, BLOCK_ANA.hop_size, 2 * max_lag, max_lag) >= 2 * max_lag * BLOCK_ANA.silence_rms**2
+    energy = _frozen_nccf_frames(x.samples, BLOCK_ANA.hop_size, 2 * max_lag, max_lag)[1]
+    loud = energy >= 2 * max_lag * BLOCK_ANA.silence_rms**2
     if silent:
         assert (~loud).sum() > FRAME_BLOCK
-    if frames > _PEAK_BATCH:
-        assert loud.sum() > 2 * _PEAK_BATCH
+    if frames > 256:
+        assert loud.sum() > 256 * (frames // 256)
     assert (got > 0).sum() > frames // 2
 
 

@@ -127,6 +127,31 @@ def test_resynth_report_scores_the_samples_as_written(tmp_path, capsys, fmt):
         assert resynth[key] == pytest.approx(metrics[key], rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+def test_resynth_writes_what_analyze_then_synth_writes(tmp_path, capsys, fmt):
+    # synth renders the float32 values a bundle stores, and so does resynth
+    src, feat, one, two = (tmp_path / n for n in ("in.wav", "x.hnsf", "one.wav", "two.wav"))
+    write_wav(_two_note_phrase(), src)
+    assert cli_main(["resynth", str(src), "-o", str(one), "--format", fmt]) == 0
+    assert cli_main(["analyze", str(src), "-o", str(feat)]) == 0
+    assert cli_main(["synth", str(feat), "-o", str(two), "--format", fmt]) == 0
+    capsys.readouterr()
+    x, y = read_wav(one).samples, read_wav(two).samples
+    assert x.size == len(read_wav(src)) < y.size
+    assert x.tobytes() == y[: x.size].tobytes()
+
+
+def test_synth_reports_clipped_samples_on_stderr(tmp_path, capsys):
+    # a tone peaking at 1.4 renders past full scale, and synth still writes it
+    src, feat, out = tmp_path / "in.wav", tmp_path / "x.hnsf", tmp_path / "out.wav"
+    wavfile.write(src, SR, harmonic_tone(220.0, SR, 1.0, [1.4]).samples.astype(np.float32))
+    assert cli_main(["analyze", str(src), "-o", str(feat)]) == 0
+    assert cli_main(["synth", str(feat), "-o", str(out), "--format", "pcm16"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("hnsynth: clipped ") and err.endswith(" samples\n")
+    assert int(err.split()[2]) > 0 and out.exists()
+
+
 def _two_note_phrase():
     """Two notes of different f0 (196 and 294 Hz, vibrato, 1/k roll-off) with
     silent gaps before, between and after them, over a white noise floor."""
@@ -283,7 +308,7 @@ def test_report_takes_each_distinct_stft_once(tmp_path, tone_wav, monkeypatch, c
     tool = build_tool_config(SR, parse_config_file(argv[-1]) if mrs_sizes else {})
     mel = mel_l1(a, b, tool.mel)
     cfgs = spectral.multi_resolution_configs(tool.mrs_fft_sizes)
-    mags = zip(spectral.multi_resolution_spectrograms(a, cfgs), spectral.multi_resolution_spectrograms(b, cfgs))
+    mags = [(spectral.stft_magnitude(a, c), spectral.stft_magnitude(b, c)) for c in cfgs]
     assert report["mel_l1"] == mel
     assert report["dsp_loss"] == tool.weights.lambda_dsp * mel
     assert report["mrs_l1"] == float(np.mean([np.abs(p - q).mean() for p, q in mags]))
@@ -341,6 +366,7 @@ def _put(offset, fmt, value):
         pytest.param(_put(22, "<H", 3), id="three-channels"),
         pytest.param(_put(16, "<I", 0xFFFFFFF0), id="huge-fmt-chunk"),
         pytest.param(lambda raw: raw[:30], id="cut-to-30-bytes"),
+        pytest.param(lambda raw: b"RF64" + raw[4:], id="rf64-without-ds64"),
     ],
 )
 def test_malformed_wav_header_exits_4(tmp_path, capsys, edit):
@@ -412,6 +438,33 @@ def test_mismatched_metrics_inputs_exit_5(tmp_path, tone_wav, capsys):
     write_wav(Waveform(np.zeros(1000), SR), short)
     assert cli_main(["metrics", str(tone_wav), str(short)]) == 5
     capsys.readouterr()
+
+
+def test_metrics_of_equal_lengths_at_two_rates_exits_5(tmp_path, capsys):
+    a, b = tmp_path / "a.wav", tmp_path / "b.wav"
+    write_wav(harmonic_tone(220.0, 8000, 1.0, [0.5]), a)
+    write_wav(Waveform(np.zeros(8000), 16000), b)
+    assert cli_main(["metrics", str(a), str(b)]) == 5
+    assert capsys.readouterr().err == "hnsynth: sample rate mismatch: 8000 vs 16000\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "resynth"])
+def test_features_beyond_float32_exit_5_and_write_nothing(tmp_path, capsys, command):
+    # a float WAV peaking at 3e38 is finite, but its noise magnitudes are not in
+    # float32, so analyze would write a bundle that synth cannot read
+    src, out = tmp_path / "loud.wav", tmp_path / "o.out"
+    wavfile.write(src, SR, harmonic_tone(220.0, SR, 0.5, [3e38]).samples.astype(np.float32))
+    assert cli_main([command, str(src), "-o", str(out)]) == 5
+    assert capsys.readouterr().err == "hnsynth: a feature value lies beyond float32's range\n"
+    assert not out.exists()
+
+
+def test_analyze_of_a_rate_with_f0_max_past_nyquist_exits_5(tmp_path, capsys):
+    src, out = tmp_path / "low.wav", tmp_path / "o.hnsf"
+    write_wav(harmonic_tone(220.0, 1500, 1.0, [0.5]), src)
+    assert cli_main(["analyze", str(src), "-o", str(out)]) == 5
+    assert capsys.readouterr().err == "hnsynth: f0_max=800.0 must stay below Nyquist (750.0)\n"
+    assert not out.exists()
 
 
 def test_truncated_bundle_exits_4(tmp_path, tone_wav, capsys):

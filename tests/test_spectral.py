@@ -20,8 +20,8 @@ from hnsynth.spectral import (
     mel_spectrogram,
     mel_to_hz,
     multi_resolution_configs,
-    multi_resolution_spectrograms,
     stft,
+    stft_magnitude,
 )
 from hnsynth.types import Waveform
 
@@ -234,29 +234,21 @@ def test_mel_shape_is_frames_by_bands(rng):
 
 # ------------------------------------------------- multi-resolution
 
-def test_multi_resolution_single_config_equals_stft_magnitude(rng):
+def test_stft_magnitude_equals_abs_stft_bit_for_bit(rng):
     cfg = SpectralConfig(fft_size=512, hop_size=128, win_size=512)
     x = Waveform(rng.standard_normal(5000), 22050)
-    (only,) = multi_resolution_spectrograms(x, [cfg])
-    assert np.array_equal(only, np.abs(stft(x, cfg)))
+    assert np.array_equal(stft_magnitude(x, cfg), np.abs(stft(x, cfg)))
 
 
-def test_multi_resolution_shapes_and_order(rng):
+def test_stft_magnitude_shapes_follow_each_multi_resolution_config(rng):
     x = Waveform(rng.standard_normal(8192), 22050)
     cfgs = multi_resolution_configs()
-    outs = multi_resolution_spectrograms(x, cfgs)
-    assert len(outs) == 3
-    for out, cfg in zip(outs, cfgs):
-        assert out.shape == (frame_count(8192, cfg.hop_size), cfg.n_bins)
+    assert len(cfgs) == 3
+    for cfg in cfgs:
+        assert stft_magnitude(x, cfg).shape == (frame_count(8192, cfg.hop_size), cfg.n_bins)
 
 
-def test_multi_resolution_zero_signal_gives_zero():
+def test_stft_magnitude_of_zeros_is_zero():
     x = Waveform(np.zeros(4096), 22050)
-    for out in multi_resolution_spectrograms(x, multi_resolution_configs()):
-        assert np.abs(out).max() == 0.0
-
-
-def test_multi_resolution_empty_config_list_rejected(rng):
-    x = Waveform(rng.standard_normal(4096), 22050)
-    with pytest.raises(ValueError):
-        multi_resolution_spectrograms(x, [])
+    for cfg in multi_resolution_configs():
+        assert np.abs(stft_magnitude(x, cfg)).max() == 0.0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from hnsynth.errors import FormatError, UnsupportedAudioError
+from hnsynth.ioutil import atomic_write
 from hnsynth.types import Waveform
 from hnsynth.wavio import WAV_FORMATS, read_wav, write_wav
 
@@ -123,6 +124,19 @@ def test_failed_write_leaves_no_partial_file(tmp_path, rng):
         write_wav(x, target)
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []  # no stray temp files
+
+
+def test_write_that_raises_midway_keeps_the_old_file_and_no_temp_file(tmp_path):
+    # the temp file exists and holds part of the new bytes when the writer fails
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"old bytes")
+    with pytest.raises(RuntimeError, match="midway"):
+        with atomic_write(path) as fh:
+            fh.write(b"new")
+            assert len(list(tmp_path.glob("x.bin.*.tmp"))) == 1
+            raise RuntimeError("midway")
+    assert path.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
 
 
 def test_write_replaces_atomically(tmp_path, rng):
