@@ -177,7 +177,7 @@ def cli_main(argv=None) -> int:
     except OSError as exc:
         print(f"hnsynth: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"hnsynth: {exc}", file=sys.stderr)
         return 5
 

@@ -12,8 +12,9 @@ line up.
 The framed stages walk the grid in blocks of FRAME_BLOCK frames: frame_view
 cuts any range of rows, copying only the samples those rows cover, stft takes
 the spectra of any range of frames, and istft overlap-adds a spectrogram given
-block by block, finishing each output sample as soon as the last frame over it
-is in. Every frame is computed from its own samples alone,
+block by block into (rows, hop_size) output rows, the layout the harmonic bank
+renders into, and divides each row by the window energy of the frames over it
+once the last block is in. Every frame is computed from its own samples alone,
 so a block's rows are bit for bit those of the whole-signal transform, and no
 (frames, fft_size) matrix of a whole clip is held.
 """
@@ -205,6 +206,10 @@ def istft(S, cfg: SpectralConfig, out_len: int) -> np.ndarray:
     S is a (frames, n_bins) spectrogram, or an iterator over its blocks of rows
     in frame order, so a caller can make the spectrogram a block at a time.
     Requires a COLA-satisfying config; output has length exactly out_len.
+
+    The padded output is laid out as (rows, hop_size), the layout of the
+    harmonic bank's render: frame m's j-th hop-wide slice adds into row m + j,
+    and each row is then divided by the window energy of the slices over it.
     """
     if hasattr(S, "__next__"):  # an iterator over row blocks
         blocks = S
@@ -218,45 +223,31 @@ def istft(S, cfg: SpectralConfig, out_len: int) -> np.ndarray:
         raise ValueError("out_len must be non-negative")
     fft, hop = cfg.fft_size, cfg.hop_size
     w = cfg.window_array()
-    w2 = w * w
-    out = np.zeros(out_len)
-    # acc and wsum hold the output timeline from sample `base` of the padded
-    # signal on: the frames' overlap-added sum and their window energy. Each
-    # sample is summed over its frames in frame order, as one pass over the
-    # whole spectrogram would, and written out once no later frame covers it.
-    acc = wsum = np.zeros(0)
-    base = 0
+    span = -(-fft // hop)  # hop-wide slices per frame; the last is narrower when hop does not divide fft
+    grid = np.zeros((-(-(cfg.pad_left + out_len) // hop), hop))
+    m = 0  # frames added so far
     for block in blocks:
         if block.ndim != 2 or block.shape[1] != cfg.n_bins:
             raise ValueError(f"spectrogram must have {cfg.n_bins} bins, got shape {block.shape}")
         frames = np.fft.irfft(block, n=fft, axis=1)
         frames *= w
-        span = (len(frames) - 1) * hop + fft
-        acc, wsum = _extend(acc, span), _extend(wsum, span)
-        for m in range(len(frames)):
-            s = m * hop
-            acc[s : s + fft] += frames[m]
-            wsum[s : s + fft] += w2
-        done = len(frames) * hop
-        _normalize_into(out, base - cfg.pad_left, acc[:done], wsum[:done])
-        acc, wsum, base = acc[done:], wsum[done:], base + done
-    _normalize_into(out, base - cfg.pad_left, acc, wsum)
-    return out
-
-
-def _extend(buf: np.ndarray, length: int) -> np.ndarray:
-    """buf's values followed by zeros, at least length samples long."""
-    out = np.zeros(max(length, len(buf)))
-    out[: len(buf)] = buf
-    return out
-
-
-def _normalize_into(out: np.ndarray, at: int, acc: np.ndarray, wsum: np.ndarray) -> None:
-    """Write acc / wsum (0 where wsum is negligible) into out from index at, clipped to out."""
-    lo, hi = max(at, 0), min(at + len(acc), len(out))
-    if lo < hi:
-        a, ws = acc[lo - at : hi - at], wsum[lo - at : hi - at]
-        out[lo:hi] = np.where(ws > _OLA_EPS, a / np.maximum(ws, _OLA_EPS), 0.0)
+        # slices in reverse order, so each sample sums its frames in frame order
+        for j in reversed(range(span)):
+            rows = grid[m + j : m + j + len(frames), : min(hop, fft - j * hop)]
+            rows += frames[: len(rows), j * hop : (j + 1) * hop]
+        m += len(frames)
+    # Row r is covered by slices j = max(0, r - m + 1) .. min(span - 1, r), so
+    # every interior row shares one window energy and each edge row has its own.
+    w2 = w * w
+    bounds = sorted({*range(span), *range(m, m + span)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        ws = np.zeros(hop)
+        for j in reversed(range(max(0, lo - m + 1), min(span - 1, lo) + 1)):
+            ws[: min(hop, fft - j * hop)] += w2[j * hop : (j + 1) * hop]
+        rows, ok = grid[lo:hi], ws > _OLA_EPS
+        np.divide(rows, ws, out=rows, where=ok)
+        rows[:, ~ok] = 0.0
+    return grid.reshape(-1)[cfg.pad_left : cfg.pad_left + out_len]
 
 
 # ---------------------------------------------------------------------------

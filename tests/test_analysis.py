@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -674,12 +674,21 @@ def test_analyze_hop_mismatch_rejected():
         analyze(sine(220.0, SR, 1.0), AnalysisConfig(hop_size=256), SPECTRAL)
 
 
+_ITEM_3 = "ROADMAP item 3: the round trip misses the mel L1 bound on this tone"
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     f0=st.floats(min_value=100.0, max_value=800.0),
     scale=st.floats(min_value=0.3, max_value=0.9),
     wobble=st.floats(min_value=0.0, max_value=0.15),
 )
+# Known failures of ROADMAP item 3 (mel L1 0.131, 0.156, 0.115, 0.115), strict:
+# a mark whose tone passes fails the test, so the fix removes these marks.
+@example(f0=613.75, scale=0.5, wobble=0.125).xfail(raises=AssertionError, reason=_ITEM_3)
+@example(f0=796.75, scale=0.5, wobble=0.125).xfail(raises=AssertionError, reason=_ITEM_3)
+@example(f0=549.0, scale=0.75, wobble=0.125).xfail(raises=AssertionError, reason=_ITEM_3)
+@example(f0=764.5, scale=0.5, wobble=0.125).xfail(raises=AssertionError, reason=_ITEM_3)
 def test_round_trip_property_smooth_harmonic_tones(f0, scale, wobble):
     amps = scale * np.array([0.55, 0.3, 0.18, 0.1])
     x = harmonic_tone(f0, SR, 2.0, amps, wobble=wobble)

@@ -459,6 +459,22 @@ def test_features_beyond_float32_exit_5_and_write_nothing(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "resynth"])
+def test_out_of_memory_exits_5_with_one_line_and_writes_nothing(tmp_path, tone_wav, monkeypatch, capsys, command):
+    # a config can ask for more memory than exists (k_max = 10**13 asks numpy
+    # for tens of TiB); the stage raises rather than allocating for real here,
+    # since hosts differ in what they overcommit
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(analysis, "estimate_harmonics", out_of_memory)
+    out = tmp_path / "o.out"
+    assert cli_main([command, str(tone_wav), "-o", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("hnsynth: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_analyze_of_a_rate_with_f0_max_past_nyquist_exits_5(tmp_path, capsys):
     src, out = tmp_path / "low.wav", tmp_path / "o.hnsf"
     write_wav(harmonic_tone(220.0, 1500, 1.0, [0.5]), src)

@@ -6,8 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnsynth.analysis import estimate_initial_phases
-from hnsynth import synth
-from hnsynth.spectral import FRAME_BLOCK, SpectralConfig, default_spectral, frame_anchor, stft
+from hnsynth import spectral, synth
+from hnsynth.spectral import (
+    FRAME_BLOCK,
+    WINDOW_FAMILIES,
+    SpectralConfig,
+    default_spectral,
+    frame_anchor,
+    istft,
+    stft,
+)
 from hnsynth.synth import (
     _BLOCK_ROWS,
     _SLICE_HARMONICS,
@@ -459,22 +467,71 @@ def test_noise_rms_matches_overlap_add_prediction():
     assert measured == pytest.approx(predicted, rel=0.1)
 
 
+def _frozen_istft(S, cfg, out_len):
+    """Per-frame overlap-add: each windowed frame and its window energy added in frame order."""
+    w = cfg.window_array()
+    frames = np.fft.irfft(S, n=cfg.fft_size, axis=1) * w
+    total = (len(S) - 1) * cfg.hop_size + cfg.fft_size
+    acc, wsum = np.zeros(total), np.zeros(total)
+    for m in range(len(S)):
+        s = m * cfg.hop_size
+        acc[s : s + cfg.fft_size] += frames[m]
+        wsum[s : s + cfg.fft_size] += w * w
+    out = np.where(wsum > 1e-11, acc / np.maximum(wsum, 1e-11), 0.0)[cfg.pad_left :]
+    return np.pad(out[:out_len], (0, max(0, out_len - len(out))))
+
+
 def _frozen_noise(noise, cfg, seed):
     """The noise branch with every product in a fresh array: phases, spectrum, windowed frames."""
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-np.pi, np.pi, size=noise.values.shape)
     spec = noise.values * np.exp(1j * phases)
-    w = cfg.window_array()
-    frames = np.fft.irfft(spec, n=cfg.fft_size, axis=1) * w
-    total = (noise.frames - 1) * cfg.hop_size + cfg.fft_size
-    acc, wsum = np.zeros(total), np.zeros(total)
-    for m in range(noise.frames):
-        s = m * cfg.hop_size
-        acc[s : s + cfg.fft_size] += frames[m]
-        wsum[s : s + cfg.fft_size] += w * w
-    out = np.where(wsum > 1e-11, acc / np.maximum(wsum, 1e-11), 0.0)[cfg.pad_left :]
-    n = noise.frames * cfg.hop_size
-    return np.pad(out[:n], (0, max(0, n - len(out))))
+    return _frozen_istft(spec, cfg, noise.frames * cfg.hop_size)
+
+
+# (fft, hop, win) at 2 to 6 hop-wide slices per frame; at 192, 224, 384 and 96
+# the hop does not divide the FFT size, so the last slice is narrower. A
+# 2048-point Hann window's energy falls below the normalization floor next to
+# its zero, which a length past the frames reaches.
+_ISTFT_SHAPES = [
+    (512, 256, 512), (512, 192, 384), (1024, 256, 1024), (1024, 224, 896), (2048, 512, 2048), (2048, 384, 1536),
+    (512, 96, 384),
+]
+# every window family at each shape where it overlap-adds to a constant
+_ISTFT_CONFIGS = [
+    cfg
+    for cfg in (SpectralConfig(*shape, window=name) for name in WINDOW_FAMILIES for shape in _ISTFT_SHAPES)
+    if cfg.is_cola()
+]
+
+
+@pytest.mark.parametrize(
+    "cfg", _ISTFT_CONFIGS, ids=lambda c: f"{c.window}-{c.fft_size}/{c.hop_size}/{c.win_size}"
+)
+def test_istft_matches_frozen_per_frame_overlap_add_bit_for_bit(cfg):
+    # lengths short of, at, and past the frames' coverage; whole arrays and
+    # iterators of 7-frame blocks
+    hop = cfg.hop_size
+    for frames in [0, 1, 2, 3, 5, 64, 65, 130]:
+        rng = np.random.default_rng(frames)
+        S = rng.standard_normal((frames, cfg.n_bins)) + 1j * rng.standard_normal((frames, cfg.n_bins))
+        for out_len in sorted({0, 1, frames * hop, max(0, frames * hop - 77), frames * hop + cfg.fft_size}):
+            want = _frozen_istft(S, cfg, out_len).tobytes()
+            assert istft(S, cfg, out_len).tobytes() == want
+            blocks = iter([S[m : m + 7] for m in range(0, frames, 7)])
+            assert istft(blocks, cfg, out_len).tobytes() == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 10**6])
+def test_noise_and_istft_do_not_depend_on_the_frame_block(monkeypatch, block):
+    monkeypatch.setattr(spectral, "FRAME_BLOCK", block)
+    monkeypatch.setattr(synth, "FRAME_BLOCK", block)
+    for cfg in [SpectralConfig(fft_size=512, hop_size=96, win_size=384), default_spectral(22050)]:
+        mags = NoiseMagnitudeSpectrum(np.random.default_rng(block).uniform(0, 0.02, (130, cfg.n_bins)))
+        got = noise_synthesize(mags, cfg, seed=3, sample_rate=22050).samples
+        assert got.tobytes() == _frozen_noise(mags, cfg, 3).tobytes()
+        out_len = 131 * cfg.hop_size
+        assert istft(mags.values, cfg, out_len).tobytes() == _frozen_istft(mags.values, cfg, out_len).tobytes()
 
 
 @pytest.mark.parametrize("fft, hop, win", [(512, 128, 512), (1024, 256, 1024), (2048, 512, 1536)])
@@ -500,8 +557,8 @@ def test_noise_blocks_match_whole_matrix_draw_bit_for_bit(frames, fft, hop, win)
 def test_noise_memory_holds_one_spectrum_less_dense_15s():
     # the magnitudes are 10 MiB and their complex spectrum would be 20 MiB; the
     # phases are drawn, inverted and overlap-added a block of frames at a time,
-    # so the 5 MiB output and one block's buffers set the peak. Measured 9.7 MiB;
-    # the bound leaves 2.3 MiB, less than a quarter of the magnitudes.
+    # so the 5 MiB output and one block's buffers set the peak. Measured 9.2 MiB;
+    # the bound leaves 2.8 MiB, less than a third of the magnitudes.
     cfg = default_spectral(44100)
     mags = NoiseMagnitudeSpectrum(np.random.default_rng(5).uniform(0, 0.01, (1292, cfg.n_bins)))
     assert np.array_equal(noise_synthesize(mags, cfg, 1, 44100).samples, _frozen_noise(mags, cfg, 1))
