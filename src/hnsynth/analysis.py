@@ -7,9 +7,9 @@ smoothing and refinement each treat all frames (or a block of them) in one
 pass, with no Python loop over frames or over subharmonic divisors. Harmonic
 amplitudes are read off the magnitude STFT by local peak interpolation and
 window-gain normalization, so a unit-amplitude sinusoid measures as ~1.
-The noise spectrum is x's STFT magnitude beyond the harmonic reconstruction's
-(spectral subtraction, Boll 1979): no phase has to line up, and a peak error e
-leaves e. analyze scales it by sqrt(fft / hop) so the noise branch renders it.
+The noise is x's STFT magnitude beyond the render of the float32 harmonics a
+bundle stores (spectral subtraction, Boll 1979), so no phase has to line up and
+a peak error e leaves e; analyze scales it by sqrt(fft / hop) for the noise branch.
 No phase is fitted: estimate_initial_phases is a read-only diagnostic of x's
 phases against the bank's phase-free render, which analyze does not call.
 
@@ -464,21 +464,28 @@ def analyze(
     """Full feature extraction: F0 contour, harmonic amplitudes, noise spectrum.
 
     f0, when given, is estimate_f0(x, cfg), which is then not tracked again.
-    The noise spectrum is x's STFT magnitude beyond the harmonic render's
-    (estimate_noise), so no phase is fitted and the features are amplitude-only;
-    it is scaled so that noise_synthesize renders it at its own level.
+    Each feature is rounded to the float32 values a bundle stores as it is made,
+    so the noise is x's STFT magnitude beyond the stored harmonics' render
+    (estimate_noise), scaled so that noise_synthesize renders it at its level.
     """
+    def to_float32(values):  # in place; a value no bundle can hold raises before it is rendered
+        if values.max(initial=0.0) > np.finfo(np.float32).max:
+            raise ValueError("a feature value lies beyond float32's range")
+        values[...] = values.astype(np.float32)
+
     if cfg.hop_size != spectral.hop_size:
         raise ValueError(
             f"hop mismatch: analysis hop {cfg.hop_size} vs spectral hop {spectral.hop_size}"
         )
-    if f0 is None:
-        f0 = estimate_f0(x, cfg)
+    f0 = estimate_f0(x, cfg) if f0 is None else f0
+    f0 = F0Contour(f0.hop_size, f0.values.astype(np.float32))  # a copy: the caller's contour stays
     harmonics = estimate_harmonics(x, f0, cfg, spectral)
+    to_float32(harmonics.values)
     rendered = harmonic_synthesize(f0, harmonics, x.sample_rate)
     noise = estimate_noise(x, Waveform(rendered.samples[: len(x)], x.sample_rate), spectral)
     # Frames under independent random phases overlap-add in power, so the noise
     # branch renders sqrt(hop / fft) of the magnitudes it is given; store what
     # it needs to render the residual at the level measured here.
     np.multiply(noise.values, math.sqrt(spectral.fft_size / spectral.hop_size), out=noise.values)
+    to_float32(noise.values)
     return f0, harmonics, noise

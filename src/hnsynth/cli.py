@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 malformed file,
 5 invariant violation (bad config values, mismatched inputs). Every failure
-prints a one-line diagnostic to stderr; outputs are written atomically.
+prints a one-line diagnostic to stderr, and so does every warning the command
+raises (`hnsynth: warning: ...`, before any error line); outputs are written
+atomically.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -169,17 +172,21 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except FormatError as exc:
-        print(f"hnsynth: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"hnsynth: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, MemoryError) as exc:
-        print(f"hnsynth: {exc}", file=sys.stderr)
-        return 5
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, error = args.func(args), None
+        except FormatError as exc:
+            code, error = 4, exc
+        except OSError as exc:
+            code, error = 3, exc
+        except (ValueError, MemoryError) as exc:
+            code, error = 5, exc
+    for w in caught:
+        print(f"hnsynth: warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"hnsynth: {error}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

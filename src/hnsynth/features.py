@@ -85,18 +85,10 @@ def analyze_bundle(
 ) -> FeatureBundle:
     """Analyze a waveform into the bundle of its features and configs.
 
-    f0, when given, is estimate_f0(x, analysis); the bundle holds a copy. The
-    features are rounded to the float32 values a saved bundle stores, so
-    rendering this bundle gives the samples that rendering its saved file does.
-    A feature beyond float32's range raises ValueError, as no bundle can hold it.
+    f0, when given, is estimate_f0(x, analysis). analyze makes the float32 values a
+    saved bundle stores, so this bundle renders the samples its saved file does.
     """
-    f0, harmonics, noise = analyze(x, analysis, spectral, f0)
-    for values in (harmonics.values, noise.values):
-        if values.max(initial=0.0) > np.finfo(np.float32).max:
-            raise ValueError("a feature value lies beyond float32's range")
-        values[...] = values.astype(np.float32)
-    f0 = F0Contour(f0.hop_size, f0.values.astype(np.float32))
-    return FeatureBundle(f0, harmonics, noise, x.sample_rate, spectral, analysis)
+    return FeatureBundle(*analyze(x, analysis, spectral, f0), x.sample_rate, spectral, analysis)
 
 
 def render_bundle(bundle: FeatureBundle, seed: int = 0) -> Waveform:

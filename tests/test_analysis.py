@@ -662,10 +662,11 @@ def test_analyze_silence():
 
 
 def test_analyze_f0_matches_estimate_f0_exactly():
+    # analyze's contour is estimate_f0's, rounded to the float32 a bundle stores
     x = sine(220.0, SR, 1.0)
     f0, _, _ = analyze(x, ANA, SPECTRAL)
     direct = estimate_f0(x, ANA)
-    assert np.array_equal(f0.values, direct.values)
+    assert np.array_equal(f0.values, direct.values.astype(np.float32))
     assert np.array_equal(f0.voiced, direct.voiced)
 
 
@@ -683,12 +684,13 @@ _ITEM_3 = "ROADMAP item 3: the round trip misses the mel L1 bound on this tone"
     scale=st.floats(min_value=0.3, max_value=0.9),
     wobble=st.floats(min_value=0.0, max_value=0.15),
 )
-# Known failures of ROADMAP item 3 (mel L1 0.131, 0.156, 0.115, 0.115), strict:
+# Known failures of ROADMAP item 3 (mel L1 0.131, 0.156, 0.115, 0.115, 0.157), strict:
 # a mark whose tone passes fails the test, so the fix removes these marks.
 @example(f0=613.75, scale=0.5, wobble=0.125).xfail(raises=AssertionError, reason=_ITEM_3)
 @example(f0=796.75, scale=0.5, wobble=0.125).xfail(raises=AssertionError, reason=_ITEM_3)
 @example(f0=549.0, scale=0.75, wobble=0.125).xfail(raises=AssertionError, reason=_ITEM_3)
 @example(f0=764.5, scale=0.5, wobble=0.125).xfail(raises=AssertionError, reason=_ITEM_3)
+@example(f0=624.5, scale=0.5, wobble=0.125).xfail(raises=AssertionError, reason=_ITEM_3)
 def test_round_trip_property_smooth_harmonic_tones(f0, scale, wobble):
     amps = scale * np.array([0.55, 0.3, 0.18, 0.1])
     x = harmonic_tone(f0, SR, 2.0, amps, wobble=wobble)
@@ -862,13 +864,15 @@ def test_tracker_blocks_match_whole_clip_tracker_bit_for_bit(frames, silent):
 @pytest.mark.parametrize("frames", _BLOCK_FRAMES)
 def test_analysis_blocks_match_whole_clip_reads_bit_for_bit(frames):
     # the peak reads (target and refine) and the noise spectrum take their
-    # STFTs a block at a time; analyze scales the noise in place
+    # STFTs a block at a time; analyze scales the noise in place and rounds
+    # each feature to float32
     x = _block_clip(frames, frames)
     f0, harmonics, noise = analyze(x, BLOCK_ANA, BLOCK_SPECTRAL)
-    assert np.array_equal(harmonics.values, _whole_estimate_harmonics(x, f0, BLOCK_ANA, BLOCK_SPECTRAL))
+    whole = _whole_estimate_harmonics(x, f0, BLOCK_ANA, BLOCK_SPECTRAL)
+    assert np.array_equal(harmonics.values, whole.astype(np.float32))
     rendered = Waveform(harmonic_synthesize(f0, harmonics, BLOCK_SR).samples[: len(x)], BLOCK_SR)
     residual = _whole_estimate_noise(x, rendered, BLOCK_SPECTRAL)
     assert np.array_equal(estimate_noise(x, rendered, BLOCK_SPECTRAL).values, residual)
     scale = math.sqrt(BLOCK_SPECTRAL.fft_size / BLOCK_SPECTRAL.hop_size)
-    assert np.array_equal(noise.values, residual * scale)
+    assert np.array_equal(noise.values, (residual * scale).astype(np.float32))
     assert harmonics.values.any() and residual.any()

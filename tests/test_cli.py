@@ -448,6 +448,24 @@ def test_metrics_of_equal_lengths_at_two_rates_exits_5(tmp_path, capsys):
     assert capsys.readouterr().err == "hnsynth: sample rate mismatch: 8000 vs 16000\n"
 
 
+def test_metrics_of_silence_prints_its_warning_as_one_line(tmp_path, capsys):
+    # no voiced frame: f0_rmse warns that it is undefined, and the run succeeds
+    path = tmp_path / "s.wav"
+    write_wav(Waveform(np.zeros(SR), SR), path)
+    assert cli_main(["metrics", str(path), str(path)]) == 0
+    expected = "hnsynth: warning: no mutually voiced frames; F0 RMSE is undefined, returning 0.0\n"
+    assert capsys.readouterr().err == expected
+
+
+def test_analyze_of_a_stereo_wav_prints_its_warning_as_one_line(tmp_path, capsys):
+    src, out = tmp_path / "stereo.wav", tmp_path / "o.hnsf"
+    tone = harmonic_tone(220.0, SR, 0.5, [0.5]).samples.astype(np.float32)
+    wavfile.write(src, SR, np.stack([tone, 0.5 * tone], axis=1))
+    assert cli_main(["analyze", str(src), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == f"hnsynth: warning: {src}: averaging 2 channels to mono\n"
+    assert out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "resynth"])
 def test_features_beyond_float32_exit_5_and_write_nothing(tmp_path, capsys, command):
     # a float WAV peaking at 3e38 is finite, but its noise magnitudes are not in

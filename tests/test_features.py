@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from hnsynth.analysis import AnalysisConfig
+from hnsynth.analysis import AnalysisConfig, analyze, estimate_harmonics, estimate_noise
 from hnsynth.config import build_tool_config
 from hnsynth.errors import FormatError
 from hnsynth.features import MAGIC, FeatureBundle, analyze_bundle, load_features, render_bundle, save_features
@@ -248,3 +248,30 @@ def test_white_noise_round_trip_keeps_every_mel_band_level(sample_rate):
     renders = [render_bundle(bundle, seed).samples[: len(x)] for seed in range(4)]
     rendered = np.mean([band_power(Waveform(y, sample_rate)) for y in renders], axis=0)
     assert np.abs(10 * np.log10(rendered / band_power(x))).max() < 0.5
+
+
+@pytest.mark.parametrize("sample_rate, fft_size, hop_size", [(44100, 2048, 512), (22050, 1024, 256)])
+def test_analyzed_bundle_agrees_with_itself_and_its_file(tmp_path, sample_rate, fft_size, hop_size):
+    # analyze makes each feature at the float32 precision a bundle stores, so
+    # the harmonics are those read at the stored contour and the noise is x
+    # beyond the render of the stored harmonics, and the file holds the same
+    # bits. A voiced clip with vibrato and breath noise.
+    spectral = SpectralConfig(fft_size=fft_size, hop_size=hop_size, win_size=fft_size)
+    analysis = AnalysisConfig(hop_size=hop_size)
+    x = _sung_tone(2, sample_rate)
+    f0, harmonics, noise = analyze(x, analysis, spectral)
+    bundle = analyze_bundle(x, analysis, spectral)
+    save_features(bundle, tmp_path / "x.hnsf")
+    stored = load_features(tmp_path / "x.hnsf")
+    for got in (bundle, stored):
+        assert got.f0.values.tobytes() == f0.values.tobytes()
+        assert got.harmonics.values.tobytes() == harmonics.values.tobytes()
+        assert got.noise.values.tobytes() == noise.values.tobytes()
+
+    reread = estimate_harmonics(x, stored.f0, analysis, spectral).values.astype(np.float32)
+    assert np.array_equal(stored.harmonics.values, reread)
+    rendered = harmonic_synthesize(stored.f0, stored.harmonics, sample_rate).samples[: len(x)]
+    residual = estimate_noise(x, Waveform(rendered, sample_rate), spectral).values
+    scaled = (residual * np.sqrt(fft_size / hop_size)).astype(np.float32)
+    assert np.array_equal(stored.noise.values, scaled)
+    assert f0.voiced.mean() > 0.9 and noise.values.any()
