@@ -310,7 +310,8 @@ def estimate_harmonics(
 
     Unvoiced frames and harmonics at or above Nyquist get amplitude 0. With
     refine_iters > 0, the estimate is multiplicatively corrected against a
-    resynthesized harmonic part. The STFTs are read a block of frames at a time.
+    resynthesized harmonic part, the render of its float32 rounding, as a bundle
+    stores it. The STFTs are read a block of frames at a time.
     """
     if f0.hop_size != spectral.hop_size:
         raise ValueError(
@@ -436,9 +437,10 @@ def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> np.ndarra
 
 
 def estimate_noise(x: Waveform, harmonic: Waveform, spectral: SpectralConfig) -> NoiseMagnitudeSpectrum:
-    """Magnitude of x beyond the harmonic part: max(|X| - |H|, 0) per cell.
+    """Magnitude of x beyond the harmonic part: max(|X| - |H|, 0) per cell, in float32.
 
-    Both STFTs are taken a block of frames at a time, straight into the output.
+    Both STFTs are taken a block of frames at a time, and each block is rounded
+    into the float32 output once NoiseMagnitudeSpectrum has checked its range.
     """
     if len(x) != len(harmonic):
         raise ValueError(f"length mismatch: {len(x)} vs {len(harmonic)}")
@@ -446,12 +448,13 @@ def estimate_noise(x: Waveform, harmonic: Waveform, spectral: SpectralConfig) ->
         raise ValueError(
             f"sample rate mismatch: {x.sample_rate} vs {harmonic.sample_rate}"
         )
-    residual = np.empty((frame_count(len(x), spectral.hop_size), spectral.n_bins))
+    residual = np.empty((frame_count(len(x), spectral.hop_size), spectral.n_bins), dtype=np.float32)
     for first in range(0, len(residual), FRAME_BLOCK):
         stop = first + FRAME_BLOCK
-        block = np.abs(stft(x, spectral, first, stop), out=residual[first:stop])
+        block = np.abs(stft(x, spectral, first, stop))
         block -= np.abs(stft(harmonic, spectral, first, stop))
         np.maximum(block, 0.0, out=block)
+        residual[first:stop] = NoiseMagnitudeSpectrum(block).values
     return NoiseMagnitudeSpectrum(residual)
 
 
@@ -464,15 +467,11 @@ def analyze(
     """Full feature extraction: F0 contour, harmonic amplitudes, noise spectrum.
 
     f0, when given, is estimate_f0(x, cfg), which is then not tracked again.
-    Each feature is rounded to the float32 values a bundle stores as it is made,
-    so the noise is x's STFT magnitude beyond the stored harmonics' render
-    (estimate_noise), scaled so that noise_synthesize renders it at its level.
+    Each feature is the float32 values a bundle stores as it is made (the contour
+    is rounded here, the matrix types hold float32), so the noise is x's STFT
+    magnitude beyond the stored harmonics' render (estimate_noise), scaled so
+    that noise_synthesize renders it at its level.
     """
-    def to_float32(values):  # in place; a value no bundle can hold raises before it is rendered
-        if values.max(initial=0.0) > np.finfo(np.float32).max:
-            raise ValueError("a feature value lies beyond float32's range")
-        values[...] = values.astype(np.float32)
-
     if cfg.hop_size != spectral.hop_size:
         raise ValueError(
             f"hop mismatch: analysis hop {cfg.hop_size} vs spectral hop {spectral.hop_size}"
@@ -480,12 +479,13 @@ def analyze(
     f0 = estimate_f0(x, cfg) if f0 is None else f0
     f0 = F0Contour(f0.hop_size, f0.values.astype(np.float32))  # a copy: the caller's contour stays
     harmonics = estimate_harmonics(x, f0, cfg, spectral)
-    to_float32(harmonics.values)
     rendered = harmonic_synthesize(f0, harmonics, x.sample_rate)
     noise = estimate_noise(x, Waveform(rendered.samples[: len(x)], x.sample_rate), spectral)
     # Frames under independent random phases overlap-add in power, so the noise
     # branch renders sqrt(hop / fft) of the magnitudes it is given; store what
-    # it needs to render the residual at the level measured here.
-    np.multiply(noise.values, math.sqrt(spectral.fft_size / spectral.hop_size), out=noise.values)
-    to_float32(noise.values)
+    # it needs to render the residual at the level measured here, in place once
+    # the type has checked that the largest scaled value fits in float32.
+    scale = math.sqrt(spectral.fft_size / spectral.hop_size)
+    NoiseMagnitudeSpectrum([[float(noise.values.max(initial=0.0)) * scale]])
+    np.multiply(noise.values, scale, out=noise.values)
     return f0, harmonics, noise

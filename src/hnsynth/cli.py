@@ -146,6 +146,7 @@ def _cmd_resynth(args) -> int:
     rendered = render_bundle(analyze_bundle(x, tool.analysis, tool.spectral, f0), seed=tool.seed)
     # score the samples as written, before writing them: a report that fails leaves no WAV
     y, clipped = quantize(Waveform(rendered.samples[: len(x)], x.sample_rate), args.format)
+    del rendered  # the report reads y alone
     report = _report(y, x, tool, f0)
     report["clipped_samples"] = clipped
     write_wav(y, args.output, args.format)

@@ -9,8 +9,9 @@ Container layout (all integers little-endian):
                   harmonics (frames, k_max), noise (frames, n_bins)
 
 The JSON header keeps the file greppable while the payload stays compact.
-Values are stored as float32, so a bundle whose arrays are exactly
-representable in float32 round trips losslessly.
+Values are stored as float32. The harmonic and noise matrices are float32 in
+memory too (a loaded bundle's are views of the file's bytes), so only f0, which
+is float64 in memory, is rounded on its way to disk.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class FeatureBundle:
         # the rendered audio is written as WAV, whose header holds a uint32 rate
         if not 0 < self.sample_rate < 2**32:
             raise ValueError(f"sample_rate must lie in 1..2**32-1, got {self.sample_rate}")
-        if self.f0.values.max(initial=0.0) >= self.sample_rate / 2:
+        f0_max = self.f0.values.max(initial=0.0)  # and as stored: float32 can round it up to Nyquist
+        if f0_max >= self.sample_rate / 2 or np.float32(f0_max) >= self.sample_rate / 2:
             raise ValueError(f"f0 reaches Nyquist ({self.sample_rate / 2} Hz)")
         frames = self.f0.frames
         if self.harmonics.frames != frames or self.noise.frames != frames:
@@ -98,11 +100,6 @@ def render_bundle(bundle: FeatureBundle, seed: int = 0) -> Waveform:
     return Waveform(samples, bundle.sample_rate)
 
 
-def _payload(arr: np.ndarray) -> np.ndarray:
-    """arr as little-endian float32 in C order, written through its buffer with no bytes copy."""
-    return np.ascontiguousarray(arr, dtype="<f4")
-
-
 def save_features(bundle: FeatureBundle, path) -> None:
     """Write a bundle in the container format; empty bundles are rejected."""
     if bundle.frames == 0:
@@ -121,9 +118,9 @@ def save_features(bundle: FeatureBundle, path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(_payload(bundle.f0.values))
-        fh.write(_payload(bundle.harmonics.values))
-        fh.write(_payload(bundle.noise.values))
+        for values in (bundle.f0.values, bundle.harmonics.values, bundle.noise.values):
+            # little-endian float32 in C order, written through its buffer with no bytes copy
+            fh.write(np.ascontiguousarray(values, dtype="<f4"))
 
 
 def _header_int(value, name: str, path) -> int:
@@ -196,7 +193,7 @@ def load_features(path) -> FeatureBundle:
         raise FormatError(
             f"{path}: payload holds {len(raw) - payload_at} bytes, the header declares {expected}"
         )
-    values = np.frombuffer(raw, dtype="<f4", offset=payload_at).astype(np.float64)
+    values = np.frombuffer(raw, dtype="<f4", offset=payload_at)  # the matrices are views of raw
     harmonics_end = frames * (1 + k_max)
     try:
         return FeatureBundle(

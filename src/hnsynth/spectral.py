@@ -229,7 +229,7 @@ def istft(S, cfg: SpectralConfig, out_len: int) -> np.ndarray:
     for block in blocks:
         if block.ndim != 2 or block.shape[1] != cfg.n_bins:
             raise ValueError(f"spectrogram must have {cfg.n_bins} bins, got shape {block.shape}")
-        frames = np.fft.irfft(block, n=fft, axis=1)
+        frames = np.fft.irfft(block, n=fft, axis=1).astype(np.float64, copy=False)  # float64 for float32 blocks too
         frames *= w
         # slices in reverse order, so each sample sums its frames in frame order
         for j in reversed(range(span)):

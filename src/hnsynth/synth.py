@@ -72,12 +72,12 @@ _SLICE_HARMONICS = 8
 def _segment_grid(frame_values: np.ndarray, hop_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Start value and per-sample slope of each row of the segment grid.
 
-    frame_values is (frames,) or (frames, columns); both results have
-    frames + 1 rows. Row r starts on the anchor of frame r-1, and offset j of
-    row r reads start[r] + slope[r] * j, which is np.interp's own arithmetic
-    for the frame anchors.
+    frame_values is (frames,) or (frames, columns), of any float dtype; both
+    results are float64 and have frames + 1 rows. Row r starts on the anchor of
+    frame r-1, and offset j of row r reads start[r] + slope[r] * j, which is
+    np.interp's own arithmetic for the frame anchors.
     """
-    ext = np.concatenate([frame_values[:1], frame_values, frame_values[-1:]])
+    ext = np.concatenate([frame_values[:1], frame_values, frame_values[-1:]], dtype=np.float64)
     return ext[:-1], (ext[1:] - ext[:-1]) / hop_size
 
 

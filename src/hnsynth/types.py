@@ -1,8 +1,10 @@
 """Core domain types: waveforms and the frame-level features that drive synthesis.
 
 All array fields are normalized to contiguous float64 numpy arrays at
-construction time, and the dataclasses validate their invariants eagerly so the
-synthesis and analysis code can assume well-formed inputs.
+construction time, but for the harmonic and noise matrices, which hold the
+float32 values a feature bundle stores, rounded from any other float input.
+The dataclasses validate their invariants eagerly so the synthesis and
+analysis code can assume well-formed inputs.
 """
 
 from __future__ import annotations
@@ -12,13 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
+def _as_float_array(values, name: str, ndim: int, dtype=np.float64, signed: bool = False) -> np.ndarray:
+    """values as a contiguous dtype array, non-negative unless signed; a value beyond dtype's range raises."""
+    arr = np.asarray(values)
+    if arr.dtype.kind != "f":
+        arr = arr.astype(np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf")
-    return arr
+    if not signed and arr.size and arr.min() < 0:
+        raise ValueError(f"{name} must be non-negative")
+    if arr.max(initial=0.0) > np.finfo(dtype).max:
+        raise ValueError(f"a feature value lies beyond {np.dtype(dtype).name}'s range")
+    return np.ascontiguousarray(arr, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -33,7 +42,7 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _as_float_array(self.samples, "samples", 1))
+        object.__setattr__(self, "samples", _as_float_array(self.samples, "samples", 1, signed=True))
         if int(self.sample_rate) <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
@@ -53,10 +62,7 @@ class F0Contour:
         if int(self.hop_size) <= 0:
             raise ValueError(f"hop_size must be positive, got {self.hop_size}")
         object.__setattr__(self, "hop_size", int(self.hop_size))
-        values = _as_float_array(self.values, "f0 values", 1)
-        if values.size and values.min() < 0:
-            raise ValueError("f0 values must be non-negative")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _as_float_array(self.values, "f0 values", 1))
 
     @classmethod
     def from_values(cls, values, hop_size: int) -> "F0Contour":
@@ -75,16 +81,14 @@ class F0Contour:
 
 @dataclass(frozen=True)
 class HarmonicAmplitudes:
-    """frames x K matrix of non-negative per-harmonic amplitudes."""
+    """frames x K float32 matrix of non-negative per-harmonic amplitudes."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = _as_float_array(self.values, "harmonic amplitudes", 2)
+        values = _as_float_array(self.values, "harmonic amplitudes", 2, np.float32)
         if values.shape[1] < 1:
             raise ValueError("need at least one harmonic")
-        if values.size and values.min() < 0:
-            raise ValueError("harmonic amplitudes must be non-negative")
         object.__setattr__(self, "values", values)
 
     @property
@@ -98,15 +102,12 @@ class HarmonicAmplitudes:
 
 @dataclass(frozen=True)
 class NoiseMagnitudeSpectrum:
-    """frames x bins non-negative magnitude matrix driving the noise branch."""
+    """frames x bins float32 non-negative magnitude matrix driving the noise branch."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = _as_float_array(self.values, "noise magnitudes", 2)
-        if values.size and values.min() < 0:
-            raise ValueError("noise magnitudes must be non-negative")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _as_float_array(self.values, "noise magnitudes", 2, np.float32))
 
     @property
     def frames(self) -> int:

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hnsynth.analysis import AnalysisConfig, analyze, estimate_harmonics, estimate_noise
 from hnsynth.config import build_tool_config
@@ -98,6 +100,76 @@ def test_save_load_identity_on_random_bundle(tmp_path, rng):
     assert b.spectral == c.spectral
     assert b.analysis == c.analysis
     assert b.sample_rate == c.sample_rate
+
+
+def test_feature_matrices_hold_the_float32_values_a_bundle_stores():
+    # float32 input is kept as it is, with no copy; any other float input is
+    # rounded, and a value beyond float32's range raises before the cast warns
+    stored = np.array([[0.5, 1e-3]], dtype=np.float32)
+    assert HarmonicAmplitudes(stored).values is stored
+    assert NoiseMagnitudeSpectrum(stored).values is stored
+    for cls in (HarmonicAmplitudes, NoiseMagnitudeSpectrum):
+        rounded = cls([[0.1, 1e-40]]).values
+        assert rounded.dtype == np.float32 and rounded.flags.c_contiguous
+        assert rounded.tobytes() == np.float32([[0.1, 1e-40]]).tobytes()
+        with pytest.raises(ValueError, match="a feature value lies beyond float32's range"):
+            cls([[0.1, 3.5e38]])
+    assert F0Contour.from_values(np.float32([220.1]), 512).values.dtype == np.float64
+
+
+def test_bundle_refuses_an_f0_that_float32_rounds_to_nyquist(rng):
+    # 11024.9999 Hz lies below Nyquist at 22.05 kHz, but its file would hold
+    # 11025.0, which load_features refuses; float32's largest value below it stays
+    b = random_bundle(rng)
+    f0 = b.f0.values.copy()
+    f0[0] = np.nextafter(np.float32(11025), np.float32(0))
+    assert dataclasses.replace(b, f0=F0Contour.from_values(f0, SPEC.hop_size)).f0.values[0] == f0[0]
+    f0[0] = 11024.9999
+    with pytest.raises(ValueError, match=r"f0 reaches Nyquist \(11025.0 Hz\)"):
+        dataclasses.replace(b, f0=F0Contour.from_values(f0, SPEC.hop_size))
+
+
+SMALL = SpectralConfig(fft_size=256, hop_size=64, win_size=256)
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(f0=[11024.9999, 0.0, 0.0, 0.0], harmonics=[0.5] * 12, noise_peak=1.0)
+@example(f0=[0.0, 220.0, 220.0, 0.0], harmonics=[0.1] * 11 + [F32_MAX * 1.0000001], noise_peak=1.0)
+@example(f0=[0.0, 220.0, 220.0, 0.0], harmonics=[0.1] * 12, noise_peak=F32_MAX)
+@given(
+    f0=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 11025.0, exclude_max=True, width=32)), min_size=4, max_size=4),
+    harmonics=st.lists(st.floats(0.0, 1e39), min_size=12, max_size=12),
+    noise_peak=st.floats(0.0, 1e39),
+)
+def test_save_then_load_is_the_identity(tmp_path, f0, harmonics, noise_peak):
+    # float64 features, drawn up to and past float32's range, with f0 up to just
+    # below Nyquist: a bundle is refused when it is built, or its file holds it
+    noise = np.random.default_rng(len(harmonics)).uniform(0.0, 1.0, (4, SMALL.n_bins)) * noise_peak
+    refused = max(*harmonics, noise.max()) > F32_MAX or (np.float32(f0) >= 11025.0).any()
+
+    def build():
+        return FeatureBundle(
+            f0=F0Contour.from_values(f0, SMALL.hop_size),
+            harmonics=HarmonicAmplitudes(np.reshape(harmonics, (4, 3))),
+            noise=NoiseMagnitudeSpectrum(noise),
+            sample_rate=22050,
+            spectral=SMALL,
+            analysis=AnalysisConfig(hop_size=SMALL.hop_size),
+        )
+
+    if refused:
+        with pytest.raises(ValueError):
+            build()
+        return
+    b = build()
+    save_features(b, tmp_path / "b.hnsf")
+    c = load_features(tmp_path / "b.hnsf")
+    assert c.f0.values.tobytes() == b.f0.values.tobytes()
+    for mine, loaded in [(b.harmonics.values, c.harmonics.values), (b.noise.values, c.noise.values)]:
+        assert loaded.dtype == np.float32 and not loaded.flags.owndata
+        assert loaded.tobytes() == mine.tobytes()
+    assert render_bundle(c, seed=2).samples.tobytes() == render_bundle(b, seed=2).samples.tobytes()
 
 
 def test_header_is_inspectable_json(tmp_path, rng):
@@ -213,22 +285,26 @@ def _sung_tone(seconds, sr=44100):
     return Waveform(x + 0.01 * np.random.default_rng(seconds).standard_normal(t.size), sr)
 
 
-def test_analyze_and_render_memory_grows_less_than_48_bytes_per_sample():
+def test_analyze_and_render_memory_grows_less_than_48_bytes_per_sample(tmp_path):
     # Every framed stage runs over blocks of frames, so what grows with the clip
-    # is what is kept: the input, the harmonic render, the bundle's matrices
-    # (the noise alone is 16 B per sample at 2048/512) and the output. The
-    # whole-clip spectra and frame matrices grew the peaks by 110 and 105 B per
-    # sample; blocked, 25.6 and 16.0 B were measured.
+    # is what is kept: the input, the harmonic render, the bundle's float32
+    # matrices (the noise alone is 8 B per sample at 2048/512) and the output.
+    # The whole-clip spectra and frame matrices grew the peaks by 110 and 105 B
+    # per sample. Measured since the matrices are float32 in memory: analyze
+    # 19.4 B (32.6 B with float64 matrices), load 10.8 B (28.4 B when it widened
+    # the payload to float64), render 16.0 B.
     tool = build_tool_config(44100)
     peaks, lengths = [], []
     for seconds in (5, 30):
         x = _sung_tone(seconds)
         analyze_peak, bundle = traced_peak(analyze_bundle, x, tool.analysis, tool.spectral)
-        peaks.append((analyze_peak, traced_peak(render_bundle, bundle)[0]))
+        save_features(bundle, tmp_path / "x.hnsf")
+        load_peak = traced_peak(load_features, tmp_path / "x.hnsf")[0]
+        peaks.append((analyze_peak, load_peak, traced_peak(render_bundle, bundle)[0]))
         lengths.append(len(x))
     extra = lengths[1] - lengths[0]
-    analyze_growth, render_growth = ((b - a) / extra for a, b in zip(*peaks))
-    assert analyze_growth < 48 and render_growth < 48
+    analyze_growth, load_growth, render_growth = ((b - a) / extra for a, b in zip(*peaks))
+    assert analyze_growth < 26 and load_growth < 16 and render_growth < 48
 
 
 @pytest.mark.parametrize("sample_rate", [22050, 44100])
