@@ -9,7 +9,7 @@ amplitudes are read off the magnitude STFT by local peak interpolation and
 window-gain normalization, so a unit-amplitude sinusoid measures as ~1.
 The noise is x's STFT magnitude beyond the render of the float32 harmonics a
 bundle stores (spectral subtraction, Boll 1979), so no phase has to line up and
-a peak error e leaves e; analyze scales it by sqrt(fft / hop) for the noise branch.
+a peak error e leaves e; estimate_noise scales it by sqrt(fft / hop) for the noise branch.
 No phase is fitted: estimate_initial_phases is a read-only diagnostic of x's
 phases against the bank's phase-free render, which analyze does not call.
 
@@ -52,7 +52,7 @@ class AnalysisConfig:
     hop when the outputs feed harmonic estimation. voicing_threshold is the
     minimum normalized-autocorrelation peak for a frame to count as voiced,
     and silence_rms is the frame RMS below which frames are unvoiced outright;
-    both must be finite.
+    both must be finite, and so must silence_rms squared, the tracker's energy floor.
     """
 
     f0_min: float = 70.0
@@ -80,9 +80,11 @@ class AnalysisConfig:
             raise ValueError("refine_iters must be non-negative")
         if self.median_width < 1 or self.median_width % 2 == 0:
             raise ValueError("median_width must be a positive odd count")
-        if not (math.isfinite(self.voicing_threshold) and math.isfinite(self.silence_rms)):
+        # a product, not **2, which raises OverflowError where the product is inf
+        if not (math.isfinite(self.voicing_threshold) and math.isfinite(self.silence_rms * self.silence_rms)):
             raise ValueError(
-                f"voicing_threshold and silence_rms must be finite, got {self.voicing_threshold}, {self.silence_rms}"
+                "voicing_threshold and silence_rms (and its square) must be finite, "
+                f"got {self.voicing_threshold}, {self.silence_rms}"
             )
 
 
@@ -200,9 +202,11 @@ def _pick_peaks(seg: np.ndarray, min_lag: int, threshold: float) -> np.ndarray:
 def _smooth_voiced(values: np.ndarray, voiced: np.ndarray, width: int) -> np.ndarray:
     """Median, then mean, over the voiced entries of each centered window.
 
-    Unvoiced entries are left as they are and never enter a window.
+    Unvoiced entries are left as they are and never enter a window. A window
+    wider than twice the contour covers all of it, so it is cut to that width.
     """
-    half = width // 2
+    half = min(width // 2, len(values))
+    width = 2 * half + 1
 
     def windows(a, fill):
         return sliding_window_view(np.pad(a, half, constant_values=fill), width)[voiced]
@@ -322,6 +326,8 @@ def estimate_harmonics(
         raise ValueError(
             f"frame count mismatch: contour has {f0.frames}, STFT has {n_frames}"
         )
+    if spectral.n_bins < 3:  # a peak and both its neighbours
+        raise ValueError(f"harmonic peak reads need fft_size >= 4, got {spectral.fft_size}")
     pairs = _peak_pairs(f0, cfg, spectral, x.sample_rate, len(x))
     target = _harmonics_from_magnitude(lambda start, stop: stft(x, spectral, start, stop), pairs)
     values = target
@@ -437,10 +443,13 @@ def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> np.ndarra
 
 
 def estimate_noise(x: Waveform, harmonic: Waveform, spectral: SpectralConfig) -> NoiseMagnitudeSpectrum:
-    """Magnitude of x beyond the harmonic part: max(|X| - |H|, 0) per cell, in float32.
+    """The noise a bundle stores: sqrt(fft / hop) * max(|X| - |H|, 0) per cell, in float32.
 
-    Both STFTs are taken a block of frames at a time, and each block is rounded
-    into the float32 output once NoiseMagnitudeSpectrum has checked its range.
+    Random-phase frames overlap-add in power, so the noise branch renders
+    sqrt(hop / fft) of what it is given: the scale makes it render the residual
+    at its measured level. Both STFTs are taken a block of frames at a time, and
+    each scaled block is rounded into the float32 output once
+    NoiseMagnitudeSpectrum has checked its range.
     """
     if len(x) != len(harmonic):
         raise ValueError(f"length mismatch: {len(x)} vs {len(harmonic)}")
@@ -448,12 +457,14 @@ def estimate_noise(x: Waveform, harmonic: Waveform, spectral: SpectralConfig) ->
         raise ValueError(
             f"sample rate mismatch: {x.sample_rate} vs {harmonic.sample_rate}"
         )
+    scale = math.sqrt(spectral.fft_size / spectral.hop_size)
     residual = np.empty((frame_count(len(x), spectral.hop_size), spectral.n_bins), dtype=np.float32)
     for first in range(0, len(residual), FRAME_BLOCK):
         stop = first + FRAME_BLOCK
         block = np.abs(stft(x, spectral, first, stop))
         block -= np.abs(stft(harmonic, spectral, first, stop))
         np.maximum(block, 0.0, out=block)
+        block *= scale
         residual[first:stop] = NoiseMagnitudeSpectrum(block).values
     return NoiseMagnitudeSpectrum(residual)
 
@@ -467,10 +478,9 @@ def analyze(
     """Full feature extraction: F0 contour, harmonic amplitudes, noise spectrum.
 
     f0, when given, is estimate_f0(x, cfg), which is then not tracked again.
-    Each feature is the float32 values a bundle stores as it is made (the contour
-    is rounded here, the matrix types hold float32), so the noise is x's STFT
-    magnitude beyond the stored harmonics' render (estimate_noise), scaled so
-    that noise_synthesize renders it at its level.
+    Each feature is made at the float32 values a bundle stores: the contour is
+    rounded here, the harmonics are read at it, and the noise is estimate_noise's
+    of x beyond the render of those harmonics.
     """
     if cfg.hop_size != spectral.hop_size:
         raise ValueError(
@@ -480,12 +490,4 @@ def analyze(
     f0 = F0Contour(f0.hop_size, f0.values.astype(np.float32))  # a copy: the caller's contour stays
     harmonics = estimate_harmonics(x, f0, cfg, spectral)
     rendered = harmonic_synthesize(f0, harmonics, x.sample_rate)
-    noise = estimate_noise(x, Waveform(rendered.samples[: len(x)], x.sample_rate), spectral)
-    # Frames under independent random phases overlap-add in power, so the noise
-    # branch renders sqrt(hop / fft) of the magnitudes it is given; store what
-    # it needs to render the residual at the level measured here, in place once
-    # the type has checked that the largest scaled value fits in float32.
-    scale = math.sqrt(spectral.fft_size / spectral.hop_size)
-    NoiseMagnitudeSpectrum([[float(noise.values.max(initial=0.0)) * scale]])
-    np.multiply(noise.values, scale, out=noise.values)
-    return f0, harmonics, noise
+    return f0, harmonics, estimate_noise(x, Waveform(rendered.samples[: len(x)], x.sample_rate), spectral)

@@ -9,9 +9,9 @@ Container layout (all integers little-endian):
                   harmonics (frames, k_max), noise (frames, n_bins)
 
 The JSON header keeps the file greppable while the payload stays compact.
-Values are stored as float32. The harmonic and noise matrices are float32 in
-memory too (a loaded bundle's are views of the file's bytes), so only f0, which
-is float64 in memory, is rounded on its way to disk.
+Values are stored as float32, and a bundle holds the values its file stores:
+float32 matrices (a loaded bundle's are views of the file's bytes) and the
+float32 rounding of its f0, which an F0Contour holds in float64.
 """
 
 from __future__ import annotations
@@ -49,10 +49,14 @@ class FeatureBundle:
         # the rendered audio is written as WAV, whose header holds a uint32 rate
         if not 0 < self.sample_rate < 2**32:
             raise ValueError(f"sample_rate must lie in 1..2**32-1, got {self.sample_rate}")
-        f0_max = self.f0.values.max(initial=0.0)  # and as stored: float32 can round it up to Nyquist
-        if f0_max >= self.sample_rate / 2 or np.float32(f0_max) >= self.sample_rate / 2:
+        # the f0 its file holds; beyond float32's range it rounds to inf, which F0Contour refuses
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "f0", F0Contour(self.f0.hop_size, self.f0.values.astype(np.float32)))
+        if self.f0.values.max(initial=0.0) >= self.sample_rate / 2:
             raise ValueError(f"f0 reaches Nyquist ({self.sample_rate / 2} Hz)")
         frames = self.f0.frames
+        if frames == 0:
+            raise ValueError("a bundle needs at least one frame")
         if self.harmonics.frames != frames or self.noise.frames != frames:
             raise ValueError(
                 "frame count mismatch: "
@@ -87,8 +91,8 @@ def analyze_bundle(
 ) -> FeatureBundle:
     """Analyze a waveform into the bundle of its features and configs.
 
-    f0, when given, is estimate_f0(x, analysis). analyze makes the float32 values a
-    saved bundle stores, so this bundle renders the samples its saved file does.
+    f0, when given, is estimate_f0(x, analysis). analyze makes each feature at the
+    float32 values a saved bundle stores, so this bundle is its file's bit for bit.
     """
     return FeatureBundle(*analyze(x, analysis, spectral, f0), x.sample_rate, spectral, analysis)
 
@@ -101,9 +105,7 @@ def render_bundle(bundle: FeatureBundle, seed: int = 0) -> Waveform:
 
 
 def save_features(bundle: FeatureBundle, path) -> None:
-    """Write a bundle in the container format; empty bundles are rejected."""
-    if bundle.frames == 0:
-        raise ValueError("refusing to save a bundle with zero frames")
+    """Write a bundle in the container format."""
     header = {
         "version": FORMAT_VERSION,
         "sample_rate": bundle.sample_rate,

@@ -63,8 +63,9 @@ def _window(name: str, length: int) -> np.ndarray:
     if length <= 1:
         w = np.ones(length)
     else:
-        fac = np.linspace(-np.pi, np.pi, length + 1)
+        # allocated first: np.zeros refuses a length past intp's range, np.linspace mis-sizes it
         w = np.zeros(length + 1)
+        fac = np.linspace(-np.pi, np.pi, length + 1)
         for k, a in enumerate(_COSINE_TERMS[name]):
             w += a * np.cos(k * fac)
         w = w[:-1]

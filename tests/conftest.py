@@ -8,8 +8,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hnsynth.types import F0Contour, HarmonicAmplitudes, Waveform
+
+# No example database: a run draws afresh and never replays a failing draw of
+# an earlier run in the same checkout, so its result depends on the code alone.
+# Every other setting keeps hypothesis's default or the test's own.
+settings.register_profile("no-replay", database=None)
+settings.load_profile("no-replay")
 
 
 def sine(freq_hz, sr, seconds, amp=1.0, phase=0.0):

@@ -505,11 +505,15 @@ def test_noise_exact_harmonic_leaves_nothing():
     assert n.values.max() < 1e-6
 
 
+# the noise branch's scale, which estimate_noise applies: sqrt(fft / hop)
+NOISE_SCALE = math.sqrt(SPECTRAL.fft_size / SPECTRAL.hop_size)
+
+
 def test_noise_zero_harmonic_returns_signal_spectrum(rng):
     x = Waveform(rng.standard_normal(8192) * 0.1, SR)
     silent = Waveform(np.zeros(8192), SR)
     n = estimate_noise(x, silent, SPECTRAL)
-    assert np.array_equal(n.values, np.abs(stft(x, SPECTRAL)).astype(np.float32))
+    assert np.array_equal(n.values, (NOISE_SCALE * np.abs(stft(x, SPECTRAL))).astype(np.float32))
 
 
 def test_noise_of_an_amplitude_error_is_that_error(rng):
@@ -517,16 +521,18 @@ def test_noise_of_an_amplitude_error_is_that_error(rng):
     # sqrt(1 - 0.99^2), about 14%; the float32 noise rounds it by at most 2**-24
     x = Waveform(rng.standard_normal(8192) * 0.1, SR)
     n = estimate_noise(x, Waveform(0.99 * x.samples, SR), SPECTRAL)
-    np.testing.assert_allclose(n.values, 0.01 * np.abs(stft(x, SPECTRAL)), rtol=2**-24, atol=1e-12)
+    np.testing.assert_allclose(n.values, NOISE_SCALE * 0.01 * np.abs(stft(x, SPECTRAL)), rtol=2**-24, atol=1e-12)
 
 
 def test_noise_beyond_float32_once_scaled_raises_before_the_scale():
     # an unvoiced impulse on a frame's anchor reads |X| = its height in every
     # bin of that frame: 2.5e38 fits in float32, twice that (the noise scale at
-    # fft / hop = 4) does not, and the in-place scale must not overflow
+    # fft / hop = 4) does not, so estimate_noise refuses the scaled block before
+    # it is cast, and analyze with it
     x = np.zeros(8 * SPECTRAL.hop_size)
     x[frame_anchor(3, SPECTRAL.hop_size)] = 2.5e38
-    assert estimate_noise(Waveform(x, SR), Waveform(np.zeros_like(x), SR), SPECTRAL).values.max() == np.float32(2.5e38)
+    with pytest.raises(ValueError, match="a feature value lies beyond float32's range"):
+        estimate_noise(Waveform(x, SR), Waveform(np.zeros_like(x), SR), SPECTRAL)
     with pytest.raises(ValueError, match="a feature value lies beyond float32's range"):
         analyze(Waveform(x, SR), ANA, SPECTRAL)
 
@@ -544,7 +550,7 @@ def _noisy_tone_analysis():
 def _noise_energy_ratio(x, noise, rendered):
     est = estimate_noise(x, Waveform(rendered.samples[: len(x)], SR), SPECTRAL)
     true_energy = (np.abs(stft(Waveform(noise, SR), SPECTRAL)) ** 2).sum()
-    return (est.values**2).sum() / true_energy
+    return (est.values**2).sum() / (NOISE_SCALE**2 * true_energy)
 
 
 def test_noise_mixture_energy_within_20_percent():
@@ -876,15 +882,15 @@ def test_tracker_blocks_match_whole_clip_tracker_bit_for_bit(frames, silent):
 @pytest.mark.parametrize("frames", _BLOCK_FRAMES)
 def test_analysis_blocks_match_whole_clip_reads_bit_for_bit(frames):
     # the peak reads (target and refine) and the noise spectrum take their
-    # STFTs a block at a time; the features are float32, and analyze scales
-    # the noise in place
+    # STFTs a block at a time; the features are float32, and estimate_noise
+    # scales each block before it rounds it
     x = _block_clip(frames, frames)
     f0, harmonics, noise = analyze(x, BLOCK_ANA, BLOCK_SPECTRAL)
     whole = _whole_estimate_harmonics(x, f0, BLOCK_ANA, BLOCK_SPECTRAL)
     assert np.array_equal(harmonics.values, whole.astype(np.float32))
     rendered = Waveform(harmonic_synthesize(f0, harmonics, BLOCK_SR).samples[: len(x)], BLOCK_SR)
     residual = _whole_estimate_noise(x, rendered, BLOCK_SPECTRAL)
-    assert np.array_equal(estimate_noise(x, rendered, BLOCK_SPECTRAL).values, residual.astype(np.float32))
-    scale = math.sqrt(BLOCK_SPECTRAL.fft_size / BLOCK_SPECTRAL.hop_size)
-    assert np.array_equal(noise.values, (residual * scale).astype(np.float32))
+    scaled = (residual * math.sqrt(BLOCK_SPECTRAL.fft_size / BLOCK_SPECTRAL.hop_size)).astype(np.float32)
+    assert np.array_equal(estimate_noise(x, rendered, BLOCK_SPECTRAL).values, scaled)
+    assert np.array_equal(noise.values, scaled)
     assert harmonics.values.any() and residual.any()

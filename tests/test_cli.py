@@ -477,6 +477,35 @@ def test_features_beyond_float32_exit_5_and_write_nothing(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "lines, codes",
+    [
+        (["silence_rms = 1e300"], (5, 5, 5)),  # its square, the tracker's energy floor, overflows
+        (["median_width = 1180591620717411303425"], (0, 0, 0)),  # 2**70 + 1: a window over the whole contour
+        ([f"fft_size = {2**63}", f"win_size = {2**63}", f"hop_size = {2**61}"], (5, 5, 5)),  # past intp's range
+        (["fft_size = 1", "win_size = 1", "hop_size = 1"], (5, 5, 0)),  # one bin: no harmonic peak to read
+    ],
+    ids=["silence-rms-1e300", "median-width-2**70+1", "fft-size-2**63", "fft-size-1"],
+)
+def test_extreme_config_values_exit_5_with_one_line_or_run(tmp_path, capsys, lines, codes):
+    # analyze, resynth and metrics of a 1 s 220 Hz tone, each exit code in turn
+    src, cfg, out = tmp_path / "tone.wav", tmp_path / "run.cfg", tmp_path / "o.out"
+    write_wav(harmonic_tone(220.0, SR, 1.0, [0.5]), src)
+    cfg.write_text("\n".join(lines) + "\n")
+    commands = [
+        ["analyze", str(src), "-o", str(out)],
+        ["resynth", str(src), "-o", str(out)],
+        ["metrics", str(src), str(src)],
+    ]
+    for argv, code in zip(commands, codes):
+        assert cli_main([*argv, "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert (err == "") if code == 0 else (err.startswith("hnsynth: ") and err.count("\n") == 1)
+        if argv[0] != "metrics":
+            assert out.exists() == (code == 0)
+            out.unlink(missing_ok=True)
+
+
 @pytest.mark.parametrize("command", ["analyze", "resynth"])
 def test_out_of_memory_exits_5_with_one_line_and_writes_nothing(tmp_path, tone_wav, monkeypatch, capsys, command):
     # a config can ask for more memory than exists (k_max = 10**13 asks numpy
