@@ -51,7 +51,7 @@ class AnalysisConfig:
     f0_min/f0_max bound the pitch search; hop_size must match the spectral
     hop when the outputs feed harmonic estimation. voicing_threshold is the
     minimum normalized-autocorrelation peak for a frame to count as voiced,
-    and silence_rms is the frame RMS below which frames are unvoiced outright;
+    and silence_rms (>= 0) is the frame RMS below which frames are unvoiced outright;
     both must be finite, and so must silence_rms squared, the tracker's energy floor.
     """
 
@@ -80,6 +80,8 @@ class AnalysisConfig:
             raise ValueError("refine_iters must be non-negative")
         if self.median_width < 1 or self.median_width % 2 == 0:
             raise ValueError("median_width must be a positive odd count")
+        if self.silence_rms < 0:
+            raise ValueError(f"silence_rms must be non-negative, got {self.silence_rms}")
         # a product, not **2, which raises OverflowError where the product is inf
         if not (math.isfinite(self.voicing_threshold) and math.isfinite(self.silence_rms * self.silence_rms)):
             raise ValueError(
@@ -470,24 +472,21 @@ def estimate_noise(x: Waveform, harmonic: Waveform, spectral: SpectralConfig) ->
 
 
 def analyze(
-    x: Waveform,
-    cfg: AnalysisConfig,
-    spectral: SpectralConfig,
-    f0: F0Contour | None = None,
+    x: Waveform, cfg: AnalysisConfig, spectral: SpectralConfig
 ) -> tuple[F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum]:
     """Full feature extraction: F0 contour, harmonic amplitudes, noise spectrum.
 
-    f0, when given, is estimate_f0(x, cfg), which is then not tracked again.
-    Each feature is made at the float32 values a bundle stores: the contour is
-    rounded here, the harmonics are read at it, and the noise is estimate_noise's
-    of x beyond the render of those harmonics.
+    Each feature is made at the values a bundle stores: the contour is
+    estimate_f0's, the float32 harmonics are read at it, and the noise is
+    estimate_noise's of x beyond the render of those harmonics.
     """
     if cfg.hop_size != spectral.hop_size:
         raise ValueError(
             f"hop mismatch: analysis hop {cfg.hop_size} vs spectral hop {spectral.hop_size}"
         )
-    f0 = estimate_f0(x, cfg) if f0 is None else f0
-    f0 = F0Contour(f0.hop_size, f0.values.astype(np.float32))  # a copy: the caller's contour stays
+    if spectral.n_bins < 3:  # estimate_harmonics' peak reads, checked before any tracking
+        raise ValueError(f"harmonic peak reads need fft_size >= 4, got {spectral.fft_size}")
+    f0 = estimate_f0(x, cfg)
     harmonics = estimate_harmonics(x, f0, cfg, spectral)
     rendered = harmonic_synthesize(f0, harmonics, x.sample_rate)
     return f0, harmonics, estimate_noise(x, Waveform(rendered.samples[: len(x)], x.sample_rate), spectral)

@@ -141,9 +141,9 @@ def _cmd_synth(args) -> int:
 def _cmd_resynth(args) -> int:
     x = read_wav(args.input)
     tool = _tool_config(args, x.sample_rate)
-    # x's contour as estimate_f0 gives it, for the report: the bundle's is rounded to float32
-    f0 = estimate_f0(x, tool.analysis)
-    rendered = render_bundle(analyze_bundle(x, tool.analysis, tool.spectral, f0), seed=tool.seed)
+    bundle = analyze_bundle(x, tool.analysis, tool.spectral)
+    f0, rendered = bundle.f0, render_bundle(bundle, seed=tool.seed)
+    del bundle  # the report reads x's contour alone, so the matrices go before it runs
     # score the samples as written, before writing them: a report that fails leaves no WAV
     y, clipped = quantize(Waveform(rendered.samples[: len(x)], x.sample_rate), args.format)
     del rendered  # the report reads y alone

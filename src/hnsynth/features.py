@@ -5,13 +5,13 @@ Container layout (all integers little-endian):
     bytes 0..3    magic "HNSF"
     bytes 4..7    uint32 header length in bytes
     header        UTF-8 JSON: version, sample_rate, shapes, and the configs
-    payload       raw float32 matrices in C order: f0 (frames,),
-                  harmonics (frames, k_max), noise (frames, n_bins)
+    payload       raw arrays in C order: f0 (frames,) as float64,
+                  harmonics (frames, k_max) and noise (frames, n_bins) as float32
 
 The JSON header keeps the file greppable while the payload stays compact.
-Values are stored as float32, and a bundle holds the values its file stores:
-float32 matrices (a loaded bundle's are views of the file's bytes) and the
-float32 rounding of its f0, which an F0Contour holds in float64.
+f0 is stored at the tracker's float64 precision (version 1 files, still read,
+stored it as float32) and the matrices as float32, so a bundle holds the values
+its file stores; a loaded bundle's matrices are views of the file's bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .synth import harmonic_synthesize, noise_synthesize
 from .types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
 MAGIC = b"HNSF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_F0_WIDTH = {1: 4, 2: 8}  # bytes per stored f0 value, by format version
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,6 @@ class FeatureBundle:
         # the rendered audio is written as WAV, whose header holds a uint32 rate
         if not 0 < self.sample_rate < 2**32:
             raise ValueError(f"sample_rate must lie in 1..2**32-1, got {self.sample_rate}")
-        # the f0 its file holds; beyond float32's range it rounds to inf, which F0Contour refuses
-        with np.errstate(over="ignore"):
-            object.__setattr__(self, "f0", F0Contour(self.f0.hop_size, self.f0.values.astype(np.float32)))
         if self.f0.values.max(initial=0.0) >= self.sample_rate / 2:
             raise ValueError(f"f0 reaches Nyquist ({self.sample_rate / 2} Hz)")
         frames = self.f0.frames
@@ -86,15 +84,13 @@ class FeatureBundle:
         return self.spectral.hop_size
 
 
-def analyze_bundle(
-    x: Waveform, analysis: AnalysisConfig, spectral: SpectralConfig, f0: F0Contour | None = None
-) -> FeatureBundle:
+def analyze_bundle(x: Waveform, analysis: AnalysisConfig, spectral: SpectralConfig) -> FeatureBundle:
     """Analyze a waveform into the bundle of its features and configs.
 
-    f0, when given, is estimate_f0(x, analysis). analyze makes each feature at the
+    Its f0 is estimate_f0(x, analysis), and analyze makes the matrices at the
     float32 values a saved bundle stores, so this bundle is its file's bit for bit.
     """
-    return FeatureBundle(*analyze(x, analysis, spectral, f0), x.sample_rate, spectral, analysis)
+    return FeatureBundle(*analyze(x, analysis, spectral), x.sample_rate, spectral, analysis)
 
 
 def render_bundle(bundle: FeatureBundle, seed: int = 0) -> Waveform:
@@ -120,9 +116,10 @@ def save_features(bundle: FeatureBundle, path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for values in (bundle.f0.values, bundle.harmonics.values, bundle.noise.values):
-            # little-endian float32 in C order, written through its buffer with no bytes copy
-            fh.write(np.ascontiguousarray(values, dtype="<f4"))
+        payload = ((bundle.f0.values, "<f8"), (bundle.harmonics.values, "<f4"), (bundle.noise.values, "<f4"))
+        for values, dtype in payload:
+            # little-endian in C order, written through its buffer with no bytes copy
+            fh.write(np.ascontiguousarray(values, dtype=dtype))
 
 
 def _header_int(value, name: str, path) -> int:
@@ -165,10 +162,10 @@ def load_features(path) -> FeatureBundle:
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
     version = header.get("version")
-    if type(version) is not int or version != FORMAT_VERSION:
+    if type(version) is not int or version not in _F0_WIDTH:
         raise FormatError(
             f"{path}: unsupported feature file version {version!r}, "
-            f"this reader handles {FORMAT_VERSION}"
+            f"this reader handles {', '.join(map(str, _F0_WIDTH))}"
         )
     try:
         frames, k_max, n_bins, sample_rate = (
@@ -190,18 +187,20 @@ def load_features(path) -> FeatureBundle:
         raise FormatError(
             f"{path}: frames, k_max and n_bins must be positive, got {frames}, {k_max}, {n_bins}"
         )
-    expected = 4 * frames * (1 + k_max + n_bins)
+    width = _F0_WIDTH[version]
+    expected = frames * (width + 4 * (k_max + n_bins))
     if len(raw) - payload_at != expected:
         raise FormatError(
             f"{path}: payload holds {len(raw) - payload_at} bytes, the header declares {expected}"
         )
-    values = np.frombuffer(raw, dtype="<f4", offset=payload_at)  # the matrices are views of raw
-    harmonics_end = frames * (1 + k_max)
+    # f0 is copied into float64, which is aligned whatever the header's length; the matrices are views of raw
+    f0 = np.frombuffer(raw, dtype=f"<f{width}", count=frames, offset=payload_at).astype(np.float64)
+    values = np.frombuffer(raw, dtype="<f4", offset=payload_at + width * frames)
     try:
         return FeatureBundle(
-            f0=F0Contour.from_values(values[:frames], spectral.hop_size),
-            harmonics=HarmonicAmplitudes(values[frames:harmonics_end].reshape(frames, k_max)),
-            noise=NoiseMagnitudeSpectrum(values[harmonics_end:].reshape(frames, n_bins)),
+            f0=F0Contour.from_values(f0, spectral.hop_size),
+            harmonics=HarmonicAmplitudes(values[: frames * k_max].reshape(frames, k_max)),
+            noise=NoiseMagnitudeSpectrum(values[frames * k_max :].reshape(frames, n_bins)),
             sample_rate=sample_rate,
             spectral=spectral,
             analysis=analysis,

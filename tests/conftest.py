@@ -4,6 +4,8 @@ All generators are deterministic given their arguments; randomized tests
 seed their own Generator so failures reproduce.
 """
 
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -46,6 +48,21 @@ def traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+def version1_image(raw: bytes) -> bytes:
+    """A saved bundle's bytes in the version-1 layout, which stored f0 as <f4.
+
+    The header is the same JSON but for its version. The bundle's f0 must be
+    float32-exact, as every f0 a version-1 file held was.
+    """
+    (header_len,) = struct.unpack("<I", raw[4:8])
+    header, payload = json.loads(raw[8 : 8 + header_len]), raw[8 + header_len :]
+    f0 = np.frombuffer(payload, dtype="<f8", count=header["frames"])
+    assert np.array_equal(f0.astype(np.float32), f0)
+    header["version"] = 1
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return raw[:4] + struct.pack("<I", len(blob)) + blob + f0.astype("<f4").tobytes() + payload[f0.nbytes :]
 
 
 def constant_contour(f0_hz, frames, hop):

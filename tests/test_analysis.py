@@ -679,11 +679,11 @@ def test_analyze_silence():
 
 
 def test_analyze_f0_matches_estimate_f0_exactly():
-    # analyze's contour is estimate_f0's, rounded to the float32 a bundle stores
+    # analyze's contour is estimate_f0's, at the float64 precision a bundle stores
     x = sine(220.0, SR, 1.0)
     f0, _, _ = analyze(x, ANA, SPECTRAL)
     direct = estimate_f0(x, ANA)
-    assert np.array_equal(f0.values, direct.values.astype(np.float32))
+    assert np.array_equal(f0.values, direct.values)
     assert np.array_equal(f0.voiced, direct.voiced)
 
 

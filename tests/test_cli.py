@@ -21,7 +21,7 @@ from hnsynth.losses import mel_l1
 from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 from hnsynth.wavio import read_wav, write_wav
 
-from conftest import harmonic_tone
+from conftest import harmonic_tone, version1_image
 
 SR = 22050
 
@@ -481,11 +481,12 @@ def test_features_beyond_float32_exit_5_and_write_nothing(tmp_path, capsys, comm
     "lines, codes",
     [
         (["silence_rms = 1e300"], (5, 5, 5)),  # its square, the tracker's energy floor, overflows
+        (["silence_rms = -1e-5"], (5, 5, 5)),  # squared by the tracker, it would act as 1e-5
         (["median_width = 1180591620717411303425"], (0, 0, 0)),  # 2**70 + 1: a window over the whole contour
         ([f"fft_size = {2**63}", f"win_size = {2**63}", f"hop_size = {2**61}"], (5, 5, 5)),  # past intp's range
         (["fft_size = 1", "win_size = 1", "hop_size = 1"], (5, 5, 0)),  # one bin: no harmonic peak to read
     ],
-    ids=["silence-rms-1e300", "median-width-2**70+1", "fft-size-2**63", "fft-size-1"],
+    ids=["silence-rms-1e300", "silence-rms-negative", "median-width-2**70+1", "fft-size-2**63", "fft-size-1"],
 )
 def test_extreme_config_values_exit_5_with_one_line_or_run(tmp_path, capsys, lines, codes):
     # analyze, resynth and metrics of a 1 s 220 Hz tone, each exit code in turn
@@ -522,6 +523,41 @@ def test_out_of_memory_exits_5_with_one_line_and_writes_nothing(tmp_path, tone_w
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "resynth"])
+def test_too_few_bins_for_a_peak_read_exit_5_before_tracking(tmp_path, tone_wav, monkeypatch, capsys, command):
+    # fft_size 2 has 2 bins, too few for a harmonic peak and both its neighbours
+    def no_tracking(*args):
+        raise AssertionError("f0 was tracked")
+
+    monkeypatch.setattr(analysis, "estimate_f0", no_tracking)
+    monkeypatch.setattr(cli, "estimate_f0", no_tracking)
+    cfg, out = tmp_path / "run.cfg", tmp_path / "o.out"
+    cfg.write_text("fft_size = 2\nwin_size = 2\nhop_size = 1\n")
+    assert cli_main([command, str(tone_wav), "-o", str(out), "--config", str(cfg)]) == 5
+    assert capsys.readouterr().err == "hnsynth: harmonic peak reads need fft_size >= 4, got 2\n"
+    assert not out.exists()
+
+
+def test_resynth_tracks_x_once_in_analyze_and_y_once_in_its_report(tmp_path, tone_wav, monkeypatch, capsys):
+    # the report scores y against the contour analyze tracked for the bundle
+    calls = []
+
+    def counted(binding, track):
+        def estimate_f0(x, cfg):
+            calls.append((binding, x.samples.tobytes()))
+            return track(x, cfg)
+
+        return estimate_f0
+
+    monkeypatch.setattr(analysis, "estimate_f0", counted("analysis", analysis.estimate_f0))
+    monkeypatch.setattr(cli, "estimate_f0", counted("cli", cli.estimate_f0))
+    out, report = tmp_path / "o.wav", tmp_path / "o.json"
+    assert cli_main(["resynth", str(tone_wav), "-o", str(out), "--report", str(report)]) == 0
+    capsys.readouterr()
+    x, y = read_wav(tone_wav).samples.tobytes(), read_wav(out).samples.tobytes()
+    assert calls == [("analysis", x), ("cli", y)]
+
+
 def test_analyze_of_a_rate_with_f0_max_past_nyquist_exits_5(tmp_path, capsys):
     src, out = tmp_path / "low.wav", tmp_path / "o.hnsf"
     write_wav(harmonic_tone(220.0, 1500, 1.0, [0.5]), src)
@@ -540,7 +576,8 @@ def test_truncated_bundle_exits_4(tmp_path, tone_wav, capsys):
 
 def _first_f0(value):
     def edit(header, payload):
-        return header, struct.pack("<f", value) + payload[4:]
+        fmt = {1: "<f", 2: "<d"}[header["version"]]  # the f0 width of the layout being edited
+        return header, struct.pack(fmt, value) + payload[struct.calcsize(fmt) :]
 
     return edit
 
@@ -610,13 +647,16 @@ def _edit_bundle(raw: bytes, edit) -> bytes:
     ],
 )
 def test_malformed_bundle_exits_4(tmp_path, capsys, edit):
-    bad = tmp_path / "bad.hnsf"
-    bad.write_bytes(_edit_bundle(_bundle_bytes(tmp_path), edit))
-    out = tmp_path / "y.wav"
-    assert cli_main(["synth", str(bad), "-o", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("hnsynth: ") and err.count("\n") == 1
-    assert not out.exists()
+    # each edit on the layout save_features writes and on version 1's, which stored f0 as <f4
+    good = _bundle_bytes(tmp_path)
+    for raw in (good, version1_image(good)):
+        bad = tmp_path / "bad.hnsf"
+        bad.write_bytes(_edit_bundle(raw, edit))
+        out = tmp_path / "y.wav"
+        assert cli_main(["synth", str(bad), "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("hnsynth: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["f0_min", "voicing_threshold", "silence_rms"])

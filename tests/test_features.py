@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hnsynth.analysis import AnalysisConfig, analyze, estimate_harmonics, estimate_noise
+from hnsynth.analysis import AnalysisConfig, analyze, estimate_f0, estimate_harmonics, estimate_noise
 from hnsynth.config import build_tool_config
 from hnsynth.errors import FormatError
 from hnsynth.features import MAGIC, FeatureBundle, analyze_bundle, load_features, render_bundle, save_features
@@ -17,14 +17,15 @@ from hnsynth.spectral import MelConfig, SpectralConfig, mel_filterbank, stft
 from hnsynth.synth import harmonic_synthesize, noise_synthesize
 from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
-from conftest import traced_peak
+from conftest import traced_peak, version1_image
 
 SPEC = SpectralConfig()
 ANA = AnalysisConfig(hop_size=SPEC.hop_size)
 
 
 def f32(a):
-    # float32-representable values survive the float32 payload exactly
+    # float32-representable values, which both payload layouts (f0 as <f4 in
+    # version 1, <f8 since) store exactly
     return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
@@ -117,24 +118,13 @@ def test_feature_matrices_hold_the_float32_values_a_bundle_stores():
     assert F0Contour.from_values(np.float32([220.1]), 512).values.dtype == np.float64
 
 
-def test_bundle_refuses_an_f0_that_float32_rounds_to_nyquist(rng):
-    # 11024.9999 Hz lies below Nyquist at 22.05 kHz, but its file would hold
-    # 11025.0, which load_features refuses; float32's largest value below it stays
-    b = random_bundle(rng)
-    f0 = b.f0.values.copy()
-    f0[0] = np.nextafter(np.float32(11025), np.float32(0))
-    assert dataclasses.replace(b, f0=F0Contour.from_values(f0, SPEC.hop_size)).f0.values[0] == f0[0]
-    f0[0] = 11024.9999
-    with pytest.raises(ValueError, match=r"f0 reaches Nyquist \(11025.0 Hz\)"):
-        dataclasses.replace(b, f0=F0Contour.from_values(f0, SPEC.hop_size))
-
-
 SMALL = SpectralConfig(fft_size=256, hop_size=64, win_size=256)
 F32_MAX = float(np.finfo(np.float32).max)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(f0=[11024.9999, 0.0, 0.0, 0.0], harmonics=[0.5] * 12, noise_peak=1.0)
+@example(f0=[11025.0, 0.0, 0.0, 0.0], harmonics=[0.5] * 12, noise_peak=1.0)
 @example(f0=[0.0, 220.0, 220.0, 0.0], harmonics=[0.1] * 11 + [F32_MAX * 1.0000001], noise_peak=1.0)
 @example(f0=[0.0, 220.0, 220.0, 0.0], harmonics=[0.1] * 12, noise_peak=F32_MAX)
 @example(f0=[0.0, 220.123456789, 220.123456789, 0.0], harmonics=[0.1] * 12, noise_peak=1.0)
@@ -146,9 +136,10 @@ F32_MAX = float(np.finfo(np.float32).max)
 def test_save_then_load_is_the_identity(tmp_path, f0, harmonics, noise_peak):
     # float64 features, drawn up to and past float32's range, with f0 up to just
     # below Nyquist: a bundle is refused when it is built, or it holds what its
-    # file holds, so the loaded bundle's f0, matrices and render are its own
+    # file holds (f0 in float64, the matrices in float32), so the loaded bundle's
+    # f0, matrices and render are its own
     noise = np.random.default_rng(len(harmonics)).uniform(0.0, 1.0, (4, SMALL.n_bins)) * noise_peak
-    refused = max(*harmonics, noise.max()) > F32_MAX or (np.float32(f0) >= 11025.0).any()
+    refused = max(*harmonics, noise.max()) > F32_MAX or (np.asarray(f0) >= 11025.0).any()
 
     def build():
         return FeatureBundle(
@@ -181,7 +172,7 @@ def test_header_is_inspectable_json(tmp_path, rng):
     assert raw[:4] == MAGIC
     (header_len,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8 : 8 + header_len])
-    assert header["version"] == 1
+    assert header["version"] == 2
     assert header["frames"] == 20
     assert header["spectral"]["fft_size"] == SPEC.fft_size
 
@@ -198,17 +189,33 @@ def test_truncated_file_raises_format_error(tmp_path, rng):
 
 
 def test_version_mismatch_raises_format_error(tmp_path, rng):
+    # the reader handles versions 1 and 2
     path = tmp_path / "b.hnsf"
     save_features(random_bundle(rng), path)
     raw = path.read_bytes()
     (header_len,) = struct.unpack("<I", raw[4:8])
     header = json.loads(raw[8 : 8 + header_len])
-    header["version"] = 2
-    blob = json.dumps(header, sort_keys=True).encode()
-    bad = tmp_path / "v2.hnsf"
-    bad.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[8 + header_len :])
-    with pytest.raises(FormatError, match="version"):
-        load_features(bad)
+    for version in (0, 3):
+        header["version"] = version
+        blob = json.dumps(header, sort_keys=True).encode()
+        bad = tmp_path / "bad.hnsf"
+        bad.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[8 + header_len :])
+        with pytest.raises(FormatError, match=f"version {version}, this reader handles 1, 2"):
+            load_features(bad)
+
+
+def test_version_1_file_loads_with_f0_widened_exactly(tmp_path, rng):
+    # version 1 stored f0 as <f4; a file in that layout gives back the f0, the
+    # matrices and the render of the same bundle saved as version 2
+    b = random_bundle(rng)
+    save_features(b, tmp_path / "v2.hnsf")
+    (tmp_path / "v1.hnsf").write_bytes(version1_image((tmp_path / "v2.hnsf").read_bytes()))
+    old, new = load_features(tmp_path / "v1.hnsf"), load_features(tmp_path / "v2.hnsf")
+    assert (tmp_path / "v1.hnsf").stat().st_size == (tmp_path / "v2.hnsf").stat().st_size - 4 * b.frames
+    assert old.f0.values.dtype == np.float64 and old.f0.values.tobytes() == b.f0.values.tobytes()
+    assert old.harmonics.values.tobytes() == new.harmonics.values.tobytes()
+    assert old.noise.values.tobytes() == new.noise.values.tobytes()
+    assert render_bundle(old, seed=3).samples.tobytes() == render_bundle(new, seed=3).samples.tobytes()
 
 
 # bundles written while framing could be uncentered carry "center": true, and
@@ -330,8 +337,8 @@ def test_white_noise_round_trip_keeps_every_mel_band_level(sample_rate):
 
 @pytest.mark.parametrize("sample_rate, fft_size, hop_size", [(44100, 2048, 512), (22050, 1024, 256)])
 def test_analyzed_bundle_agrees_with_itself_and_its_file(tmp_path, sample_rate, fft_size, hop_size):
-    # analyze makes each feature at the float32 precision a bundle stores, so
-    # the harmonics are those read at the stored contour and the noise is x
+    # analyze makes each feature at the precision a bundle stores, so the f0 is
+    # estimate_f0's, the harmonics are those read at it and the noise is x
     # beyond the render of the stored harmonics, and the file holds the same
     # bits. A voiced clip with vibrato and breath noise.
     spectral = SpectralConfig(fft_size=fft_size, hop_size=hop_size, win_size=fft_size)
@@ -341,6 +348,7 @@ def test_analyzed_bundle_agrees_with_itself_and_its_file(tmp_path, sample_rate, 
     bundle = analyze_bundle(x, analysis, spectral)
     save_features(bundle, tmp_path / "x.hnsf")
     stored = load_features(tmp_path / "x.hnsf")
+    assert f0.values.tobytes() == estimate_f0(x, analysis).values.tobytes()
     for got in (bundle, stored):
         assert got.f0.values.tobytes() == f0.values.tobytes()
         assert got.harmonics.values.tobytes() == harmonics.values.tobytes()
