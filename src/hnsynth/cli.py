@@ -106,7 +106,9 @@ def _report(a: Waveform, b: Waveform, tool: ToolConfig, f0_b: F0Contour | None =
             mel_a, mel_b = log_mel(mag_a, a.sample_rate, tool.mel), log_mel(mag_b, b.sample_rate, tool.mel)
             mel = float(np.abs(mel_a - mel_b).mean())
         if cfg in mrs_cfgs:
-            mrs[cfg] = np.abs(mag_a - mag_b).mean()
+            # |a - b| in mag_a's buffer, which the mel pair has already read
+            np.subtract(mag_a, mag_b, out=mag_a)
+            mrs[cfg] = np.abs(mag_a, out=mag_a).mean()
         del mag_a, mag_b
     f0_a = estimate_f0(a, tool.analysis)
     if f0_b is None:

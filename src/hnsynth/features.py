@@ -16,9 +16,11 @@ its file stores; a loaded bundle's matrices are views of the file's bytes.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import json
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +96,38 @@ def analyze_bundle(x: Waveform, analysis: AnalysisConfig, spectral: SpectralConf
 
 
 def render_bundle(bundle: FeatureBundle, seed: int = 0) -> Waveform:
-    """Synthesize the harmonic and noise branches of a bundle and sum them."""
-    samples = harmonic_synthesize(bundle.f0, bundle.harmonics, bundle.sample_rate).samples
-    samples += noise_synthesize(bundle.noise, bundle.spectral, seed, bundle.sample_rate).samples
+    """Synthesize the harmonic and noise branches of a bundle and sum them.
+
+    Neither branch reads the other's output, so they run concurrently: the bank
+    on a helper thread, the noise branch on the caller's. numpy releases the
+    GIL inside the coarse calls both make, so on two CPUs they overlap. The sum
+    is the harmonic render plus the noise render, the same bytes as running
+    them one after the other. The helper runs in a copy of the caller's
+    context, where numpy 2 keeps np.errstate, so a caller's error state holds in
+    both branches. An exception of either branch is raised here, with its own
+    type and message, once the helper has ended.
+    """
+    bank = {}
+
+    def harmonic():
+        try:
+            bank["samples"] = harmonic_synthesize(bundle.f0, bundle.harmonics, bundle.sample_rate).samples
+        except BaseException as exc:  # raised again on the caller's thread
+            bank["error"] = exc
+
+    # The bank, not the noise branch, takes the helper: the helper allocates from
+    # a malloc arena of its own, which cannot reuse the blocks the caller frees,
+    # and with the noise branch there a 15 s render's peak RSS measured higher.
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(harmonic,))
+    helper.start()
+    try:
+        noise = noise_synthesize(bundle.noise, bundle.spectral, seed, bundle.sample_rate).samples
+    finally:
+        helper.join()
+    if "error" in bank:
+        raise bank["error"]
+    samples = bank["samples"]
+    samples += noise
     return Waveform(samples, bundle.sample_rate)
 
 

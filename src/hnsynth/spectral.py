@@ -116,6 +116,10 @@ class SpectralConfig:
     def __post_init__(self):
         if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
+        # a frame's spectrum is n_bins complex128 values, and numpy addresses no
+        # array of more bytes than intp holds
+        if 16 * self.n_bins > np.iinfo(np.intp).max:
+            raise ValueError(f"fft_size {self.fft_size} is too large for numpy to hold its spectrum")
         if not (0 < self.hop_size <= self.win_size <= self.fft_size):
             raise ValueError(
                 "need 0 < hop_size <= win_size <= fft_size, got "

@@ -49,6 +49,10 @@ a block of spectral.FRAME_BLOCK frames at a time: each block draws its phases,
 is inverted and is overlap-added before the next is drawn. The draws come from
 one generator in C order, so they are those of one whole-matrix draw.
 Both branches are pure functions; the noise branch is pure given its seed.
+Neither reads the other's output or any shared state, so
+features.render_bundle runs them concurrently, the bank on a helper thread and
+the noise branch on the caller's, and sums them into the same bytes as a
+serial run.
 """
 
 from __future__ import annotations
@@ -69,15 +73,21 @@ _BLOCK_ROWS = 32
 _SLICE_HARMONICS = 8
 
 
-def _segment_grid(frame_values: np.ndarray, hop_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start value and per-sample slope of each row of the segment grid.
+def _segment_grid(
+    frame_values: np.ndarray, hop_size: int, rows: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start value and per-sample slope of the given rows (default all) of the segment grid.
 
-    frame_values is (frames,) or (frames, columns), of any float dtype; both
-    results are float64 and have frames + 1 rows. Row r starts on the anchor of
-    frame r-1, and offset j of row r reads start[r] + slope[r] * j, which is
-    np.interp's own arithmetic for the frame anchors.
+    frame_values is (frames,) or (frames, columns), of any float dtype; the grid
+    has frames + 1 rows, and both results are float64 with one row per row
+    asked for. Row r runs from the anchor of frame r-1 to that of frame r, the
+    frame indices clipped to the contour, and offset j of row r reads
+    start[r] + slope[r] * j, which is np.interp's own arithmetic for the frame
+    anchors.
     """
-    ext = np.concatenate([frame_values[:1], frame_values, frame_values[-1:]], dtype=np.float64)
+    frames = len(frame_values)
+    r0, r1, _ = rows.indices(frames + 1)
+    ext = frame_values[np.clip(np.arange(r0 - 1, r1), 0, frames - 1)].astype(np.float64, copy=False)
     return ext[:-1], (ext[1:] - ext[:-1]) / hop_size
 
 
@@ -205,12 +215,12 @@ def harmonic_synthesize(
 
     hop = f0.hop_size
     n = f0.frames * hop
-    starts, slopes = _segment_grid(amplitudes.values, hop)
     offsets = np.arange(hop, dtype=np.float64)
 
     grid = np.zeros((f0.frames + 1, hop))
     for b in _phasor_blocks(f0, sample_rate, n, amplitudes.k_max):
-        start, slope = starts[b.rows], slopes[b.rows]
+        # the block's amplitude ramps alone, from the float32 matrix
+        start, slope = _segment_grid(amplitudes.values, hop, b.rows)
         live = (start != 0).any(axis=0) | (slope != 0).any(axis=0)
         ks = np.flatnonzero(live[: b.k_live]) + 1
         if ks.size == 0:
@@ -258,7 +268,11 @@ def noise_synthesize(
         # generator gives each frame the phases of one whole-matrix draw
         for first in range(0, noise.frames, FRAME_BLOCK):
             mags = noise.values[first : first + FRAME_BLOCK]
-            spec = np.exp(1j * rng.uniform(-np.pi, np.pi, size=mags.shape))
+            phases = rng.uniform(-np.pi, np.pi, size=mags.shape)
+            # e^{i phase} as cos and sin into one complex buffer, bit for bit np.exp(1j * phase)
+            spec = np.empty(mags.shape, dtype=np.complex128)
+            np.cos(phases, out=spec.real)
+            np.sin(phases, out=spec.imag)
             spec *= mags
             yield spec
 

@@ -174,11 +174,14 @@ def quantize(x: Waveform, format: str) -> tuple[Waveform, int]:
     """
     if format not in WAV_FORMATS:
         raise ValueError(f"unknown WAV format {format!r}, expected one of {WAV_FORMATS}")
-    samples = x.samples
-    clipped = int(np.count_nonzero((samples < -1.0) | (samples > 1.0)))
-    samples = np.clip(samples, -1.0, 1.0)
+    clipped = int(np.count_nonzero(x.samples < -1.0) + np.count_nonzero(x.samples > 1.0))
+    samples = np.clip(x.samples, -1.0, 1.0)
     if format == "pcm16":
-        samples = np.clip(np.rint(samples * _PCM16_SCALE), -32768, 32767) / _PCM16_SCALE
+        # scaled, rounded, clipped to the codes and scaled back in the one copy
+        samples *= _PCM16_SCALE
+        np.rint(samples, out=samples)
+        np.clip(samples, -32768, 32767, out=samples)
+        samples /= _PCM16_SCALE
     else:
         samples = samples.astype(np.float32)  # Waveform widens it back to float64 exactly
     return Waveform(samples, x.sample_rate), clipped
@@ -192,7 +195,9 @@ def write_wav(x: Waveform, path, format: str = "float32") -> int:
     """
     quantized, clipped = quantize(x, format)
     if format == "pcm16":
-        data = (quantized.samples * _PCM16_SCALE).astype("<i2")
+        # the codes, exact in float64, are cast as the product is made: no float64 temporary
+        data = np.empty(len(quantized), dtype="<i2")
+        np.multiply(quantized.samples, _PCM16_SCALE, out=data, casting="unsafe")
         tag, cb_size, fact = _PCM, b"", b""
     else:
         data = quantized.samples.astype("<f4")

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from hnsynth import analysis, cli, spectral
+from hnsynth import analysis, cli, features, spectral
 from hnsynth.cli import cli_main
 from hnsynth.config import build_tool_config, parse_config_file
 from hnsynth.features import MAGIC, FeatureBundle, load_features, save_features
@@ -521,6 +522,40 @@ def test_out_of_memory_exits_5_with_one_line_and_writes_nothing(tmp_path, tone_w
     err = capsys.readouterr().err
     assert err.startswith("hnsynth: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [ValueError, MemoryError])
+@pytest.mark.parametrize("branch", ["harmonic_synthesize", "noise_synthesize"])
+def test_synth_branch_failure_exits_5_with_one_line_and_writes_nothing(
+    tmp_path, tone_wav, monkeypatch, capsys, branch, error
+):
+    # the bank fails on render_bundle's helper thread, the noise branch on the caller's
+    bundle, out = tmp_path / "x.hnsf", tmp_path / "o.wav"
+    assert cli_main(["analyze", str(tone_wav), "-o", str(bundle)]) == 0
+
+    def fail(*args):
+        raise error(f"{branch} failed")
+
+    monkeypatch.setattr(features, branch, fail)
+    threads = threading.active_count()
+    assert cli_main(["synth", str(bundle), "-o", str(out)]) == 5
+    assert capsys.readouterr().err == f"hnsynth: {branch} failed\n"
+    assert not out.exists()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("size", [2**60, 2**63])
+def test_fft_size_past_numpys_largest_array_names_the_key(tmp_path, tone_wav, capsys, size):
+    # the config refuses it, so numpy's own "Maximum allowed dimension exceeded"
+    # is never the message; no array of the size is asked for
+    cfg, out = tmp_path / "run.cfg", tmp_path / "o.out"
+    cfg.write_text(f"fft_size = {size}\nwin_size = {size}\nhop_size = {size // 4}\n")
+    for argv in (["analyze", str(tone_wav), "-o", str(out)], ["resynth", str(tone_wav), "-o", str(out)],
+                 ["metrics", str(tone_wav), str(tone_wav)]):
+        assert cli_main([*argv, "--config", str(cfg)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"hnsynth: fft_size {size} ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "resynth"])

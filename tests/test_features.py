@@ -3,17 +3,19 @@
 import dataclasses
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from hnsynth import features
 from hnsynth.analysis import AnalysisConfig, analyze, estimate_f0, estimate_harmonics, estimate_noise
 from hnsynth.config import build_tool_config
 from hnsynth.errors import FormatError
 from hnsynth.features import MAGIC, FeatureBundle, analyze_bundle, load_features, render_bundle, save_features
-from hnsynth.spectral import MelConfig, SpectralConfig, mel_filterbank, stft
+from hnsynth.spectral import FRAME_BLOCK, MelConfig, SpectralConfig, mel_filterbank, stft
 from hnsynth.synth import harmonic_synthesize, noise_synthesize
 from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
@@ -285,6 +287,66 @@ def test_render_bundle_sums_the_two_branches(rng):
     assert y.sample_rate == b.sample_rate
     assert np.array_equal(y.samples, harmonic.samples + noise.samples)
 
+
+def _decoder_bundle(case):
+    """A 44.1 kHz bundle with every harmonic column and noise bin live, or one of its edge cases."""
+    frames = 5 if case == "short" else 300
+    assert case != "short" or frames < FRAME_BLOCK
+    rng = np.random.default_rng(frames)
+    t = np.arange(frames) * SPEC.hop_size / 44100
+    f0 = 165.0 * 2 ** ((t + 0.3 * np.sin(2 * np.pi * 5.5 * t)) / 12)
+    harmonics = 0.12 * rng.uniform(0.8, 1.2, (frames, 100)) / np.arange(1, 101)
+    noise = rng.uniform(0.0, 0.01, (frames, SPEC.n_bins))
+    if case == "unvoiced":
+        f0[:] = 0.0
+    if case == "silent-noise":
+        noise[:] = 0.0
+    return FeatureBundle(
+        f0=F0Contour.from_values(f0, SPEC.hop_size),
+        harmonics=HarmonicAmplitudes(harmonics),
+        noise=NoiseMagnitudeSpectrum(noise),
+        sample_rate=44100,
+        spectral=SPEC,
+        analysis=ANA,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("case", ["dense", "unvoiced", "silent-noise", "short"])
+def test_render_bundle_is_the_serial_sum_bit_for_bit(case, seed):
+    # the branches run concurrently, and the sum is that of running them in turn
+    b = _decoder_bundle(case)
+    harmonic = harmonic_synthesize(b.f0, b.harmonics, b.sample_rate).samples
+    serial = harmonic + noise_synthesize(b.noise, b.spectral, seed, b.sample_rate).samples
+    assert render_bundle(b, seed).samples.tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize("error", [ValueError, MemoryError])
+@pytest.mark.parametrize("branch", ["harmonic_synthesize", "noise_synthesize"])
+def test_render_bundle_raises_a_branch_error_and_leaves_no_thread(monkeypatch, rng, branch, error):
+    # the bank runs on a helper thread and the noise branch on the caller's:
+    # either one's exception reaches the caller as it was raised, after the
+    # helper has been joined
+    def fail(*args):
+        raise error(f"{branch} failed")
+
+    monkeypatch.setattr(features, branch, fail)
+    threads = threading.active_count()
+    with pytest.raises(error) as caught:
+        render_bundle(random_bundle(rng), seed=4)
+    assert type(caught.value) is error and str(caught.value) == f"{branch} failed"
+    assert threading.active_count() == threads
+
+
+def test_render_bundle_runs_the_bank_in_the_callers_error_state(monkeypatch, rng):
+    # the helper thread runs in a copy of the caller's context, where np.errstate lives
+    def overflowing_bank(*args):
+        np.float64(1e308) * 10
+        return harmonic_synthesize(*args)
+
+    monkeypatch.setattr(features, "harmonic_synthesize", overflowing_bank)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        render_bundle(random_bundle(rng), seed=4)
 
 
 def _sung_tone(seconds, sr=44100):

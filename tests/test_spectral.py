@@ -39,6 +39,11 @@ def test_config_rejects_bad_shapes():
         SpectralConfig(fft_size=512, hop_size=600, win_size=512)
     with pytest.raises(ValueError):
         SpectralConfig(window="kaiser")
+    # a spectrum of 2**59 + 1 complex128 bins is past the bytes numpy can address;
+    # the largest accepted size is only described here, never allocated
+    with pytest.raises(ValueError, match=f"^fft_size {2**60} "):
+        SpectralConfig(fft_size=2**60, hop_size=2**58, win_size=2**60)
+    assert SpectralConfig(fft_size=2**59, hop_size=2**57, win_size=2**59).n_bins == 2**58 + 1
 
 
 def _config(name, win, hop):

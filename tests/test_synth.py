@@ -251,12 +251,13 @@ def test_bank_matches_per_column_reference_dense_15s():
 
 
 def test_bank_memory_stays_bounded_dense_15s():
-    # The output grid (5.3 MiB) and the amplitude ramps (1 MiB each) set the
-    # peak: f0(n) and its extended-precision running sum are laid out one block
-    # of rows at a time, like the bank's sine matrix and sums. Measured 10.8 MiB;
-    # the bound leaves 2.2 MiB, less than one whole-length f0(n) or psi.
+    # The output grid (5.3 MiB) sets the peak: the amplitude ramps, f0(n) and
+    # its extended-precision running sum are laid out one block of rows at a
+    # time, like the bank's sine matrix and sums. Measured 8.8 MiB; the bound
+    # leaves 1.2 MiB, less than the whole-clip ramps (1 MiB each) or one
+    # whole-length f0(n) or psi.
     contour, harmonics, sr = _dense_15s()
-    assert traced_peak(harmonic_synthesize, contour, harmonics, sr)[0] < 13 * 2**20
+    assert traced_peak(harmonic_synthesize, contour, harmonics, sr)[0] < 10 * 2**20
 
 
 def test_bank_matches_per_column_reference_across_block_edges():
@@ -347,6 +348,31 @@ def test_bank_block_walk_matches_whole_length_phase_bit_for_bit(rows, monkeypatc
     got = harmonic_synthesize(contour, amps, sr).samples
     monkeypatch.setattr(synth, "_phasor_blocks", _whole_phasor_blocks)
     assert np.array_equal(got, harmonic_synthesize(contour, amps, sr).samples)
+
+
+def _whole_segment_grid(frame_values, hop_size, rows=slice(None)):
+    """The grid as it was built, every row from one whole-clip concatenation, then cut to rows."""
+    ext = np.concatenate([frame_values[:1], frame_values, frame_values[-1:]], dtype=np.float64)
+    return ext[:-1][rows], ((ext[1:] - ext[:-1]) / hop_size)[rows]
+
+
+@pytest.mark.parametrize("frames", [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5])
+def test_block_amplitude_ramps_match_whole_clip_grid_bit_for_bit(frames, monkeypatch):
+    # each block builds its rows' ramps from the float32 matrix alone: rows
+    # r0 .. r1-1 read frames r0-1 .. r1-1, clipped to the contour
+    sr, hop, k_max = 22050, 97, 9
+    rng = np.random.default_rng(frames)
+    contour = F0Contour.from_values(rng.uniform(80.0, 700.0, frames), hop)
+    amps = HarmonicAmplitudes(rng.uniform(0.0, 0.5, (frames, k_max)))
+    for values in (contour.values, amps.values):
+        for r0 in range(0, frames + 1, _BLOCK_ROWS):
+            rows = slice(r0, min(r0 + _BLOCK_ROWS, frames + 1))
+            pairs = zip(synth._segment_grid(values, hop, rows), _whole_segment_grid(values, hop, rows))
+            for got, want in pairs:
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    got = harmonic_synthesize(contour, amps, sr).samples
+    monkeypatch.setattr(synth, "_segment_grid", _whole_segment_grid)
+    assert got.tobytes() == harmonic_synthesize(contour, amps, sr).samples.tobytes()
 
 
 @pytest.mark.parametrize("sr", [8000, 22050, 44100])

@@ -12,7 +12,9 @@ from scipy.io import wavfile
 from hnsynth.errors import FormatError, UnsupportedAudioError
 from hnsynth.ioutil import atomic_write
 from hnsynth.types import Waveform
-from hnsynth.wavio import WAV_FORMATS, read_wav, write_wav
+from hnsynth.wavio import WAV_FORMATS, quantize, read_wav, write_wav
+
+from conftest import traced_peak
 
 
 def test_float32_round_trip_exact(tmp_path, rng):
@@ -39,6 +41,35 @@ def test_pcm16_full_scale_survives(tmp_path):
     assert write_wav(x, path, "pcm16") == 0
     y = read_wav(path)
     assert np.abs(y.samples - x.samples).max() <= 1 / 32768
+
+
+def test_pcm16_quantize_matches_the_clip_round_clip_formula_bit_for_bit(tmp_path):
+    # at and one ulp past full scale, on every half-code boundary's two sides,
+    # at the boundaries nearest the ends and at random values past them
+    codes = np.arange(-32768, 32768)
+    halves = (codes + 0.5) / 32768.0
+    x = np.concatenate([
+        [1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.0, -0.0],
+        halves, np.nextafter(halves, 2.0), np.nextafter(halves, -2.0),
+        np.random.default_rng(1).uniform(-1.5, 1.5, 10_000),
+    ])
+    clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
+    want = np.clip(np.rint(np.clip(x, -1.0, 1.0) * 32768.0), -32768, 32767) / 32768.0
+    got, got_clipped = quantize(Waveform(x, 44100), "pcm16")
+    assert got.samples.tobytes() == want.tobytes() and got_clipped == clipped
+    assert write_wav(Waveform(x, 44100), tmp_path / "q.wav", "pcm16") == clipped
+    data = (tmp_path / "q.wav").read_bytes()[-2 * len(x) :]
+    assert data == (want * 32768.0).astype("<i2").tobytes()
+
+
+def test_pcm16_write_holds_one_float_copy_of_a_15s_clip(tmp_path):
+    # quantize clips into one float64 copy and rounds it in place, and the codes
+    # are cast as they are made: 5 MiB of floats and 1.3 MiB of codes. Measured
+    # 5.7 and 6.4 MiB, where three float64 copies alive at once read 15.1 MiB;
+    # the bounds leave less than a second copy.
+    x = Waveform(np.random.default_rng(2).uniform(-1.2, 1.2, 15 * 44100), 44100)
+    assert traced_peak(quantize, x, "pcm16")[0] < 6 * 2**20
+    assert traced_peak(write_wav, x, tmp_path / "x.wav", "pcm16")[0] < 8 * 2**20
 
 
 def test_all_zero_pcm16_reads_back_as_zeros(tmp_path):
