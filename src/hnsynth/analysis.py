@@ -229,6 +229,10 @@ def estimate_f0(x: Waveform, cfg: AnalysisConfig) -> F0Contour:
     sr = x.sample_rate
     if cfg.f0_max >= sr / 2:
         raise ValueError(f"f0_max={cfg.f0_max} must stay below Nyquist ({sr / 2})")
+    # a frame's segment is 3 * ceil(sr / f0_min) float64 samples, and numpy
+    # addresses no array of more bytes than intp holds
+    if 24 * sr / cfg.f0_min > np.iinfo(np.intp).max:
+        raise ValueError(f"f0_min={cfg.f0_min} is too low for numpy to hold the tracker's lags at {sr} Hz")
     hop = cfg.hop_size
     n_frames = frame_count(len(x), hop)
     if n_frames < 2:
@@ -420,9 +424,9 @@ def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> np.ndarra
 
     Demodulates x against the accumulated fundamental phase, so the estimate
     follows any f0 trajectory, not just constant pitch: each block's grid rows of
-    x meet every phasor z^k of the bank's walker (_Block.harmonics), which
-    silences the same unvoiced and at-or-above-Nyquist pairs, the grid samples
-    outside x among them; a harmonic with no live pair gets phase 0. A read-only
+    x, zero outside x, meet every phasor z^k of the bank's walker
+    (_Block.harmonics), which silences the same unvoiced and at-or-above-Nyquist
+    pairs as the bank; a harmonic with no live pair gets phase 0. A read-only
     diagnostic: analyze does not call it, and the bank takes no phase, but the
     benchmark's tracer (bench/tracer.py) lists it among its targets.
     """
@@ -432,7 +436,7 @@ def estimate_initial_phases(x: Waveform, f0: F0Contour, k_max: int) -> np.ndarra
     grid = np.zeros((f0.frames + 1, hop))
     grid.reshape(-1)[lead : lead + n] = x.samples[:n]
     acc = np.zeros(k_max, dtype=np.complex128)
-    for b in _phasor_blocks(f0, x.sample_rate, n, k_max):
+    for b in _phasor_blocks(f0, x.sample_rate, k_max):
         xb = grid[b.rows].astype(np.complex128).reshape(-1)
         for k, zk in enumerate(b.harmonics(range(1, b.k_live + 1)), 1):
             # x ~ H sin(k psi + phi) = H cos(k psi + phi - pi/2); summing x e^{ik psi}

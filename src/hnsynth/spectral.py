@@ -165,10 +165,16 @@ class SpectralConfig:
 
 
 def default_spectral(sample_rate: int) -> SpectralConfig:
-    """Per-rate defaults: 2048/512 at 44.1 kHz-class rates, 1024/256 below 32 kHz."""
-    if sample_rate >= 32000:
-        return SpectralConfig(fft_size=2048, hop_size=512, win_size=2048)
-    return SpectralConfig(fft_size=1024, hop_size=256, win_size=1024)
+    """Per-rate defaults: frames that last about as long at every rate.
+
+    1024/256 below 32 kHz; from 32 kHz up, 2048/512 scaled by the power of two
+    nearest to sample_rate / 48 kHz, never below 1: 2048/512 up to 64 kHz,
+    4096/1024 at 88.2 and 96 kHz, 8192/2048 at 176.4 and 192 kHz.
+    """
+    if sample_rate < 32000:
+        return SpectralConfig(fft_size=1024, hop_size=256, win_size=1024)
+    size = 2048 << max(0, round(math.log2(sample_rate / 48000)))
+    return SpectralConfig(fft_size=size, hop_size=size // 4, win_size=size)
 
 
 # FFT sizes of the built-in multi-resolution features and metrics.
@@ -304,8 +310,8 @@ class MelConfig:
             raise ValueError("f_min must be non-negative")
         if self.f_max is not None and self.f_max <= self.f_min:
             raise ValueError("f_max must exceed f_min")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
+        if not (math.isfinite(self.log_floor) and self.log_floor > 0):
+            raise ValueError(f"log_floor must be finite and positive, got {self.log_floor}")
 
 
 def mel_band(sample_rate: int, cfg: MelConfig) -> tuple[float, float]:

@@ -15,9 +15,10 @@ One row index and one in-row offset then serve f0 and every amplitude column
 alike, with the arithmetic of np.interp over the anchors: offset j of row r
 reads start[r] + slope[r] * j. The grid runs past the signal at both ends:
 row 0 starts hop - hop//2 samples before sample 0, and the tail row ends past
-the last sample. A walk lays f0(n) out on whole rows and sets it to 0 on the
-grid samples outside the signal, so those count as unvoiced like any other,
-and the bank crops its output from the grid once.
+the last sample. A walk lays f0(n) out on whole rows of the contour's grid
+alone and sets it to 0 on the grid samples before sample 0, so psi starts at
+sample 0 and those samples count as unvoiced like any other; the bank crops
+its output from the grid once.
 
 The bank walks the grid in blocks of a few dozen whole rows. Each block lays
 out its own f0(n) and continues the extended-precision sum of f0(n) from the
@@ -73,10 +74,8 @@ _BLOCK_ROWS = 32
 _SLICE_HARMONICS = 8
 
 
-def _segment_grid(
-    frame_values: np.ndarray, hop_size: int, rows: slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """Start value and per-sample slope of the given rows (default all) of the segment grid.
+def _segment_grid(frame_values: np.ndarray, hop_size: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Start value and per-sample slope of the given rows of the segment grid.
 
     frame_values is (frames,) or (frames, columns), of any float dtype; the grid
     has frames + 1 rows, and both results are float64 with one row per row
@@ -86,8 +85,7 @@ def _segment_grid(
     anchors.
     """
     frames = len(frame_values)
-    r0, r1, _ = rows.indices(frames + 1)
-    ext = frame_values[np.clip(np.arange(r0 - 1, r1), 0, frames - 1)].astype(np.float64, copy=False)
+    ext = frame_values[np.clip(np.arange(rows.start - 1, rows.stop), 0, frames - 1)].astype(np.float64, copy=False)
     return ext[:-1], (ext[1:] - ext[:-1]) / hop_size
 
 
@@ -121,7 +119,7 @@ class _Block(NamedTuple):
 
     rows: slice  # grid rows of the block
     z: np.ndarray  # e^{i psi(n)} over the rows' samples, 0 on unvoiced samples
-    f0: np.ndarray  # f0(n) over the rows' samples, 0 outside the signal
+    f0: np.ndarray  # f0(n) over the rows' samples, 0 before sample 0
     nyquist: float
     k_free: int  # harmonics 1..k_free stay below Nyquist on every sample
     k_live: int  # harmonics above k_live reach Nyquist on every voiced sample
@@ -143,30 +141,30 @@ class _Block(NamedTuple):
             yield zk
 
 
-def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
-    """Walk the segment grid in blocks of _BLOCK_ROWS whole rows, for a signal of n samples.
+def _phasor_blocks(f0: F0Contour, sample_rate: int, k_max: int):
+    """Walk the contour's segment grid in blocks of _BLOCK_ROWS whole rows.
 
-    f0(n) is 0 on the grid samples before sample 0 and from sample n on. Each
-    block lays out its own f0(n) and continues the extended-precision running
-    sum of the blocks before it, so psi(n) is bit for bit cumulative_phase of
-    the whole-length f0(n). Yields a _Block for every block with a voiced
-    sample; the others carry no harmonic.
+    f0(n) is 0 on the grid samples before sample 0, which sets psi's origin.
+    Each block lays out its own rows of f0(n) and continues the
+    extended-precision running sum of the blocks before it, so psi(n) is bit
+    for bit cumulative_phase of the whole-grid f0(n). Yields a _Block for every
+    block with a voiced sample; the others carry no harmonic.
     """
+    if not f0.voiced.any():
+        return
     hop = f0.hop_size
     nyquist = sample_rate / 2.0
-    start, slope = _segment_grid(f0.values, hop)
     offsets = np.arange(hop, dtype=np.float64)
     lead = -frame_anchor(-1, hop)  # grid samples before sample 0
     total_rows = f0.frames + 1
     carry = np.longdouble(0.0)  # sum of f0(n) over the blocks before this one
     for r0 in range(0, total_rows, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, total_rows)
-        f = slope[r0:r1, None] * offsets
-        f += start[r0:r1, None]
+        rows = slice(r0, min(r0 + _BLOCK_ROWS, total_rows))
+        start, slope = _segment_grid(f0.values, hop, rows)
+        f = slope[:, None] * offsets
+        f += start[:, None]
         f = f.reshape(-1)
-        # grid sample i is signal sample i - lead; f0(n) is 0 outside the signal
-        f[: max(0, lead - r0 * hop)] = 0.0
-        f[max(0, lead + n - r0 * hop) :] = 0.0
+        f[: max(0, lead - r0 * hop)] = 0.0  # psi starts at sample 0
         # cumulative_phase's arithmetic, with the carry added to the first
         # sample before the sum, the order in which one whole-length sum adds it
         psi = f.astype(np.longdouble)
@@ -184,7 +182,7 @@ def _phasor_blocks(f0: F0Contour, sample_rate: int, n: int, k_max: int):
         np.sin(psi, out=z.imag)
         z[~voiced] = 0.0
         yield _Block(
-            rows=slice(r0, r1),
+            rows=rows,
             z=z,
             f0=f,
             nyquist=nyquist,
@@ -218,7 +216,7 @@ def harmonic_synthesize(
     offsets = np.arange(hop, dtype=np.float64)
 
     grid = np.zeros((f0.frames + 1, hop))
-    for b in _phasor_blocks(f0, sample_rate, n, amplitudes.k_max):
+    for b in _phasor_blocks(f0, sample_rate, amplitudes.k_max):
         # the block's amplitude ramps alone, from the float32 matrix
         start, slope = _segment_grid(amplitudes.values, hop, b.rows)
         live = (start != 0).any(axis=0) | (slope != 0).any(axis=0)

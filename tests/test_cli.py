@@ -434,6 +434,30 @@ def test_non_finite_tracker_threshold_in_config_exits_5(tmp_path, tone_wav, caps
     assert not out.exists()
 
 
+_FLOAT_KEYS = ["f0_min", "f0_max", "voicing_threshold", "silence_rms", "f_min", "f_max", "log_floor", "lambda_dsp"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key in _FLOAT_KEYS for value in ("nan", "inf", "-inf")]
+    + [("f0_min", "5e-324"), ("f0_min", "1e-300")],
+)
+def test_float_config_key_outside_its_domain_exits_with_one_line_naming_it(tmp_path, capsys, key, value):
+    # a non-finite value is refused, and so is an f0_min whose lag range numpy
+    # cannot hold (at 5e-324, sr / f0_min overflows to inf): no traceback, no
+    # NaN report, and the tracker allocates nothing
+    src, cfg, out = tmp_path / "tone.wav", tmp_path / "run.cfg", tmp_path / "o.hnsf"
+    write_wav(harmonic_tone(220.0, SR, 0.5, [0.5]), src)
+    cfg.write_text(f"{key} = {value}\n")
+    for argv in (["analyze", str(src), "-o", str(out)], ["metrics", str(src), str(src)]):
+        assert cli_main([*argv, "--config", str(cfg)]) in (4, 5)
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hnsynth: ") and captured.err.count("\n") == 1
+        assert key in captured.err and "Traceback" not in captured.err
+        assert "NaN" not in captured.out
+        assert not out.exists()
+
+
 def test_mismatched_metrics_inputs_exit_5(tmp_path, tone_wav, capsys):
     short = tmp_path / "short.wav"
     write_wav(Waveform(np.zeros(1000), SR), short)

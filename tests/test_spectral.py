@@ -105,9 +105,15 @@ def test_frame_view_rows_are_slices_of_zero_extended_signal(n, hop, lead, length
 
 
 def test_default_spectral_tracks_sample_rate():
-    assert default_spectral(44100).fft_size == 2048
-    assert default_spectral(48000).fft_size == 2048
-    assert default_spectral(22050).fft_size == 1024
+    # 1024/256 below 32 kHz; from there, 2048/512 times the power of two nearest
+    # sample_rate / 48 kHz, never less
+    sizes = {
+        8000: 1024, 22050: 1024, 31999: 1024, 32000: 2048, 44100: 2048, 48000: 2048, 64000: 2048,
+        88200: 4096, 96000: 4096, 176400: 8192, 192000: 8192, 384000: 16384,
+    }
+    for sr, size in sizes.items():
+        cfg = default_spectral(sr)
+        assert (cfg.fft_size, cfg.hop_size, cfg.win_size) == (size, size // 4, size), sr
 
 
 # -------------------------------------------------------------- stft

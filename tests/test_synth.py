@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnsynth.analysis import estimate_initial_phases
-from hnsynth import spectral, synth
+from hnsynth import analysis, spectral, synth
 from hnsynth.spectral import (
     FRAME_BLOCK,
     WINDOW_FAMILIES,
@@ -282,7 +282,7 @@ def test_bank_matches_per_column_reference_across_block_edges():
     contour, harmonics = F0Contour.from_values(f0, hop), HarmonicAmplitudes(amps)
 
     n = frames * hop
-    blocks = list(_phasor_blocks(contour, sr, n, k_max))
+    blocks = list(_phasor_blocks(contour, sr, k_max))
     # row r starts on the anchor of frame r - 1 and ends on that of frame r
     assert frame_anchor(blocks[0].rows.start - 1, hop) < 0
     assert frame_anchor(blocks[-1].rows.stop - 1, hop) > n
@@ -292,17 +292,15 @@ def test_bank_matches_per_column_reference_across_block_edges():
     assert np.abs(got - _frozen_bank(contour, harmonics, sr)).max() <= 1e-9
 
 
-def _whole_phasor_blocks(f0, sample_rate, n, k_max):
+def _whole_phasor_blocks(f0, sample_rate, k_max):
     """The walk as it was with whole-length f0(n) and psi, each block cut from them."""
     hop = f0.hop_size
     nyquist = sample_rate / 2.0
-    start, slope = synth._segment_grid(f0.values, hop)
+    start, slope = _whole_segment_grid(f0.values, hop)
     f0n = slope[:, None] * np.arange(hop, dtype=np.float64)
     f0n += start[:, None]
     f0n = f0n.reshape(-1)
-    lead = -frame_anchor(-1, hop)
-    f0n[:lead] = 0.0
-    f0n[lead + n :] = 0.0
+    f0n[: -frame_anchor(-1, hop)] = 0.0
     psi = cumulative_phase(f0n, sample_rate)
     total_rows = f0.frames + 1
     for r0 in range(0, total_rows, _BLOCK_ROWS):
@@ -330,8 +328,7 @@ def _whole_phasor_blocks(f0, sample_rate, n, k_max):
 def test_bank_block_walk_matches_whole_length_phase_bit_for_bit(rows, monkeypatch):
     # each block carries the extended-precision sum of f0(n) into the next, so
     # psi, every block's phasors and the render are those of one whole-length
-    # sum; an unvoiced block in the middle still carries its (zero) sum, and the
-    # second n ends the signal inside the grid's last block
+    # sum; an unvoiced block in the middle still carries its (zero) sum
     sr, hop, k_max = 22050, 97, 9
     frames = rows - 1
     rng = np.random.default_rng(rows)
@@ -339,12 +336,11 @@ def test_bank_block_walk_matches_whole_length_phase_bit_for_bit(rows, monkeypatc
     f0[frames // 3 : frames // 3 + _BLOCK_ROWS + 2] = 0.0
     contour = F0Contour.from_values(f0, hop)
     amps = HarmonicAmplitudes(rng.uniform(0.0, 0.5, (frames, k_max)))
-    for n in (frames * hop, frames * hop - hop - 3):
-        got, want = list(_phasor_blocks(contour, sr, n, k_max)), list(_whole_phasor_blocks(contour, sr, n, k_max))
-        assert [b.rows for b in got] == [b.rows for b in want]
-        for b, w in zip(got, want):
-            assert np.array_equal(b.z, w.z) and np.array_equal(b.f0, w.f0)
-            assert (b.k_free, b.k_live) == (w.k_free, w.k_live)
+    got, want = list(_phasor_blocks(contour, sr, k_max)), list(_whole_phasor_blocks(contour, sr, k_max))
+    assert [b.rows for b in got] == [b.rows for b in want]
+    for b, w in zip(got, want):
+        assert np.array_equal(b.z, w.z) and np.array_equal(b.f0, w.f0)
+        assert (b.k_free, b.k_live) == (w.k_free, w.k_live)
     got = harmonic_synthesize(contour, amps, sr).samples
     monkeypatch.setattr(synth, "_phasor_blocks", _whole_phasor_blocks)
     assert np.array_equal(got, harmonic_synthesize(contour, amps, sr).samples)
@@ -379,35 +375,34 @@ def test_block_amplitude_ramps_match_whole_clip_grid_bit_for_bit(frames, monkeyp
 def test_harmonic_walk_silences_unvoiced_and_nyquist_pairs(sr):
     # block 0 holds a low pitch; block 1 glides to 0.2 * sr, so harmonics 3 and
     # up cross Nyquist inside it; block 2 has an unvoiced run in its middle. The
-    # contour is voiced at both ends, so the grid samples before sample 0 and
-    # from sample n on are silent because they lie outside the signal, whether
-    # n is the contour's length or, as in estimate_initial_phases of a shorter
-    # signal, less.
+    # contour is voiced at both ends, so the grid samples before sample 0 are
+    # silent because psi starts at sample 0, and the tail row past the last
+    # sample holds the last frame's f0 like np.interp past the last anchor.
     rows, hop, k_max = _BLOCK_ROWS, 16, 12
     f0 = np.full(3 * rows, 0.02 * sr)
     f0[rows : 2 * rows] = np.linspace(0.03 * sr, 0.2 * sr, rows)
     f0[2 * rows + rows // 4 : 2 * rows + 3 * rows // 4] = 0.0
     lead = -frame_anchor(-1, hop)
     ks = np.array([1, 2, 3, 5, 6, 9, 12])  # sparse, so the walk steps over harmonics
-    for n in (f0.size * hop, f0.size * hop - 3 * hop - 5):
-        f0_samples = _frozen_interp(f0, hop, n)
-        psi = _frozen_psi(f0_samples, sr)
-        seen_free = seen_gated = False
-        seen_outside = set()
-        for b in _phasor_blocks(F0Contour.from_values(f0, hop), sr, n, k_max):
-            sample = np.arange(b.rows.start * hop, b.rows.stop * hop) - lead
-            inside = (sample >= 0) & (sample < n)
-            f, phase = np.zeros(sample.size), np.zeros(sample.size)
-            f[inside], phase[inside] = f0_samples[sample[inside]], psi[sample[inside]]
-            for k, got in zip(ks, b.harmonics(ks)):
-                live = inside & (f > 0) & (k * f < sr / 2)
-                want = np.exp(1j * k * phase)
-                assert np.abs(got[live] - want[live]).max(initial=0.0) <= 1e-9
-                assert not got[~live].any()
-                seen_free |= k <= b.k_free and not live.all()
-                seen_gated |= k > b.k_free and live.any() and not live[f > 0].all()
-            seen_outside.update(np.sign(sample[~inside]))
-        assert seen_free and seen_gated and seen_outside == {-1, 1}
+    f0_samples = _frozen_interp(f0, hop, (f0.size + 1) * hop - lead)
+    psi = _frozen_psi(f0_samples, sr)
+    seen_free = seen_gated = seen_tail = False
+    seen_before = 0
+    for b in _phasor_blocks(F0Contour.from_values(f0, hop), sr, k_max):
+        sample = np.arange(b.rows.start * hop, b.rows.stop * hop) - lead
+        inside = sample >= 0
+        f, phase = np.zeros(sample.size), np.zeros(sample.size)
+        f[inside], phase[inside] = f0_samples[sample[inside]], psi[sample[inside]]
+        for k, got in zip(ks, b.harmonics(ks)):
+            live = inside & (f > 0) & (k * f < sr / 2)
+            want = np.exp(1j * k * phase)
+            assert np.abs(got[live] - want[live]).max(initial=0.0) <= 1e-9
+            assert not got[~live].any()
+            seen_free |= k <= b.k_free and not live.all()
+            seen_gated |= k > b.k_free and live.any() and not live[f > 0].all()
+            seen_tail |= bool(live[sample >= f0.size * hop].any())
+        seen_before += np.count_nonzero(~inside)
+    assert seen_free and seen_gated and seen_tail and seen_before == lead
 
 
 @settings(max_examples=60, deadline=None)
@@ -421,6 +416,105 @@ def test_initial_phases_match_per_column_reference(sr, hop, frames, k_max, top, 
     assert got.dtype == np.float64 and ((-np.pi <= got) & (got < np.pi)).all()
     wrapped = np.angle(np.exp(1j * (got - _frozen_initial_phases(x, f0, k_max))))
     assert np.abs(wrapped).max() <= 1e-9
+
+
+def _tail_gated_phasor_blocks(f0, sample_rate, n, k_max):
+    """The walk as it was for a signal of n samples: f0(n) is also 0 from sample n on."""
+    hop = f0.hop_size
+    nyquist = sample_rate / 2.0
+    start, slope = _whole_segment_grid(f0.values, hop)
+    offsets = np.arange(hop, dtype=np.float64)
+    lead = -frame_anchor(-1, hop)
+    total_rows = f0.frames + 1
+    carry = np.longdouble(0.0)
+    for r0 in range(0, total_rows, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, total_rows)
+        f = slope[r0:r1, None] * offsets
+        f += start[r0:r1, None]
+        f = f.reshape(-1)
+        f[: max(0, lead - r0 * hop)] = 0.0
+        f[max(0, lead + n - r0 * hop) :] = 0.0
+        psi = f.astype(np.longdouble)
+        psi[0] += carry
+        np.cumsum(psi, out=psi)
+        carry = psi[-1]
+        voiced = f > 0
+        if not voiced.any():
+            continue
+        psi /= sample_rate
+        psi *= 2 * np.pi
+        psi = psi.astype(np.float64)
+        z = np.empty(f.size, dtype=np.complex128)
+        np.cos(psi, out=z.real)
+        np.sin(psi, out=z.imag)
+        z[~voiced] = 0.0
+        yield synth._Block(
+            rows=slice(r0, r1),
+            z=z,
+            f0=f,
+            nyquist=nyquist,
+            k_free=synth._harmonics_below(float(f.max()), nyquist, k_max),
+            k_live=synth._harmonics_below(float(f[voiced].min()), nyquist, k_max),
+        )
+
+
+@pytest.mark.parametrize("frames", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5])
+def test_bank_matches_tail_gated_walk_bit_for_bit(frames, monkeypatch):
+    # the grid's last block holds the tail row, voiced past the last sample; at
+    # frames = _BLOCK_ROWS it holds that row alone. The walk no longer silences
+    # the tail, which holds the last frame's f0 and so moves neither block cap,
+    # and the bank crops it away
+    sr, hop, k_max = 22050, 97, 9
+    rng = np.random.default_rng(frames)
+    f0 = rng.uniform(80.0, 700.0, frames)
+    f0[frames // 3 : frames // 2] = 0.0
+    contour = F0Contour.from_values(f0, hop)
+    amps = HarmonicAmplitudes(rng.uniform(0.0, 0.5, (frames, k_max)))
+    n, lead = frames * hop, -frame_anchor(-1, hop)
+    got, want = list(_phasor_blocks(contour, sr, k_max)), list(_tail_gated_phasor_blocks(contour, sr, n, k_max))
+    assert [b.rows for b in got] == [b.rows for b in want]
+    assert got[-1].rows.stop == frames + 1 and got[-1].f0[-1] == f0[-1] > 0
+    for b, w in zip(got, want):
+        signal = slice(0, lead + n - b.rows.start * hop)  # the block's grid samples up to sample n
+        assert np.array_equal(b.z[signal], w.z[signal]) and np.array_equal(b.f0[signal], w.f0[signal])
+        assert (b.k_free, b.k_live) == (w.k_free, w.k_live)
+    render = harmonic_synthesize(contour, amps, sr).samples
+    monkeypatch.setattr(
+        synth, "_phasor_blocks", lambda f0, sr, k_max: _tail_gated_phasor_blocks(f0, sr, f0.frames * f0.hop_size, k_max)
+    )
+    assert render.tobytes() == harmonic_synthesize(contour, amps, sr).samples.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(extra=st.integers(min_value=-319, max_value=320), **_equivalence_cases)
+def test_initial_phases_match_tail_gated_walk_bit_for_bit(sr, hop, frames, k_max, top, seed, extra):
+    # x's grid is 0 past x's end, so the pairs the old walk silenced there add 0
+    f0, _, rng = _random_features(seed, sr, hop, frames, k_max, top * sr)
+    n = max(1, frames * hop + max(extra, 1 - hop))
+    x = Waveform(rng.standard_normal(n), sr)
+    got = estimate_initial_phases(x, f0, k_max)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            analysis,
+            "_phasor_blocks",
+            lambda f0, sr, k_max: _tail_gated_phasor_blocks(f0, sr, min(n, f0.frames * f0.hop_size), k_max),
+        )
+        assert got.tobytes() == estimate_initial_phases(x, f0, k_max).tobytes()
+
+
+@pytest.mark.parametrize("frames", [0, 3, _BLOCK_ROWS + 2])
+def test_silent_contours_render_zeros_and_zero_phases(frames):
+    # a contour with no voiced frame walks no block: a zero-frame one renders no
+    # sample and an all-unvoiced one frames * hop zeros
+    sr, hop, k_max = 22050, 64, 5
+    contour = F0Contour.from_values(np.zeros(frames), hop)
+    amps = HarmonicAmplitudes(np.ones((frames, k_max)))
+    assert list(_phasor_blocks(contour, sr, k_max)) == []
+    out = harmonic_synthesize(contour, amps, sr).samples
+    assert out.shape == (frames * hop,) and not out.any()
+    x = Waveform(np.random.default_rng(frames).standard_normal(hop * 4), sr)
+    phases = estimate_initial_phases(x, contour, k_max)
+    assert phases.shape == (k_max,) and not phases.any()
 
 
 # ------------------------------------------------------- noise branch
