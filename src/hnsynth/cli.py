@@ -92,12 +92,15 @@ def _emit_report(report: dict, path: str | None) -> None:
 def _report(a: Waveform, b: Waveform, tool: ToolConfig, f0_b: F0Contour | None = None) -> dict:
     """Metrics of a against b; f0_b is b's contour when the caller already has it.
 
-    The mel STFT is usually one of the multi-resolution ones (1024/256 at
-    22.05 kHz, 2048/512 at 44.1 kHz), so each distinct config is taken once
-    per signal and the log-mel is built from its magnitudes. One config's pair
-    of magnitude matrices is held at a time, each filled a block of frames at a
-    time.
+    Both contours come first, so a pitch range the tracker refuses fails before
+    any spectrum. The mel STFT is usually a multi-resolution one (1024/256 at
+    22.05 kHz, 2048/512 at 44.1 kHz), so each distinct config is taken once per
+    signal and the log-mel is built from its magnitudes. One config's pair of
+    magnitude matrices is held at a time, each filled a block of frames at a time.
     """
+    f0_a = estimate_f0(a, tool.analysis)
+    if f0_b is None:
+        f0_b = estimate_f0(b, tool.analysis)
     mrs_cfgs = multi_resolution_configs(tool.mrs_fft_sizes)
     mrs = {}
     for cfg in dict.fromkeys([tool.mel.spectral, *mrs_cfgs]):
@@ -110,9 +113,6 @@ def _report(a: Waveform, b: Waveform, tool: ToolConfig, f0_b: F0Contour | None =
             np.subtract(mag_a, mag_b, out=mag_a)
             mrs[cfg] = np.abs(mag_a, out=mag_a).mean()
         del mag_a, mag_b
-    f0_a = estimate_f0(a, tool.analysis)
-    if f0_b is None:
-        f0_b = estimate_f0(b, tool.analysis)
     return {
         "mel_l1": mel,
         "dsp_loss": tool.weights.lambda_dsp * mel,

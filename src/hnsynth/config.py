@@ -17,7 +17,7 @@ from .analysis import AnalysisConfig
 from .errors import FormatError
 from .losses import LossWeights
 from .spectral import MRS_FFT_SIZES, MelConfig, SpectralConfig, default_spectral, mel_band
-from .spectral import multi_resolution_configs, require_cola
+from .spectral import multi_resolution_configs
 
 
 def _parse_optional_float(text: str):
@@ -65,25 +65,29 @@ class ToolConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Read a key=value file into a typed overrides dict, validating keys."""
+    """Read a UTF-8 key=value file, BOM or none, into a typed overrides dict, validating keys."""
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise FormatError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
-            key, _, value = text.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in SCHEMA:
-                known = ", ".join(sorted(SCHEMA))
-                raise FormatError(f"unknown config key {key!r} (known: {known})", line=lineno)
-            parser = SCHEMA[key][0]
-            try:
-                overrides[key] = parser(value)
-            except ValueError as exc:
-                raise FormatError(f"bad value for {key}: {exc}", line=lineno) from exc
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise FormatError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
+        key, _, value = text.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in SCHEMA:
+            known = ", ".join(sorted(SCHEMA))
+            raise FormatError(f"unknown config key {key!r} (known: {known})", line=lineno)
+        parser = SCHEMA[key][0]
+        try:
+            overrides[key] = parser(value)
+        except ValueError as exc:
+            raise FormatError(f"bad value for {key}: {exc}", line=lineno) from exc
     return overrides
 
 
@@ -97,8 +101,8 @@ def build_tool_config(sample_rate: int, overrides: dict | None = None) -> ToolCo
 
     Unknown keys raise; domain violations (negative sizes, a window/hop pair
     that fails constant overlap-add, a mel band past the rate's Nyquist and
-    the like) surface as ValueError from the component config constructors,
-    spectral.require_cola and spectral.mel_band.
+    the like) surface as ValueError from the component config constructors
+    and spectral.mel_band.
     """
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(SCHEMA)
@@ -106,7 +110,6 @@ def build_tool_config(sample_rate: int, overrides: dict | None = None) -> ToolCo
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
     spectral = replace(default_spectral(sample_rate), **_fields(SpectralConfig, overrides))
-    require_cola(spectral)  # the noise branch's inverse STFT needs it
     mel = MelConfig(spectral=spectral, **_fields(MelConfig, overrides))
     mel_band(sample_rate, mel)  # rejects a band outside 0 <= f_min < f_max <= Nyquist
     analysis = AnalysisConfig(**{**_fields(AnalysisConfig, overrides), "hop_size": spectral.hop_size})

@@ -28,7 +28,7 @@ import numpy as np
 from .analysis import AnalysisConfig, analyze
 from .errors import FormatError
 from .ioutil import atomic_write
-from .spectral import SpectralConfig, require_cola
+from .spectral import SpectralConfig
 from .synth import harmonic_synthesize, noise_synthesize
 from .types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
@@ -75,7 +75,6 @@ class FeatureBundle:
             raise ValueError(
                 f"noise spectrum has {self.noise.bins} bins, config expects {self.spectral.n_bins}"
             )
-        require_cola(self.spectral)  # the noise branch's inverse STFT needs it
 
     @property
     def frames(self) -> int:
@@ -174,7 +173,8 @@ def load_features(path) -> FeatureBundle:
     """Read a container written by save_features.
 
     Every violation of the format, in the header or in the payload, raises
-    FormatError.
+    FormatError. The sizes are checked against the payload before any config,
+    and so its window, is built: no window is longer than two noise rows.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -202,7 +202,20 @@ def load_features(path) -> FeatureBundle:
         frames, k_max, n_bins, sample_rate = (
             _header_int(header[key], key, path) for key in ("frames", "k_max", "n_bins", "sample_rate")
         )
+        if min(frames, k_max, n_bins) < 1:
+            raise FormatError(
+                f"{path}: frames, k_max and n_bins must be positive, got {frames}, {k_max}, {n_bins}"
+            )
+        width = _F0_WIDTH[version]
+        expected = frames * (width + 4 * (k_max + n_bins))
+        if len(raw) - payload_at != expected:
+            raise FormatError(
+                f"{path}: payload holds {len(raw) - payload_at} bytes, the header declares {expected}"
+            )
         spectral_fields = {**header["spectral"]}
+        fft_size = _header_int(spectral_fields.get("fft_size", SpectralConfig.fft_size), "spectral.fft_size", path)
+        if fft_size // 2 + 1 != n_bins:
+            raise FormatError(f"{path}: spectral.fft_size {fft_size} does not make the header's {n_bins} bins")
         # bundles written while framing could be uncentered carry "center": true
         if spectral_fields.pop("center", True) is not True:
             raise FormatError(f"{path}: uncentered framing (spectral.center) is not supported")
@@ -214,16 +227,6 @@ def load_features(path) -> FeatureBundle:
         raise FormatError(f"{path}: incomplete header: {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: invalid header: {exc}") from exc
-    if min(frames, k_max, n_bins) < 1:
-        raise FormatError(
-            f"{path}: frames, k_max and n_bins must be positive, got {frames}, {k_max}, {n_bins}"
-        )
-    width = _F0_WIDTH[version]
-    expected = frames * (width + 4 * (k_max + n_bins))
-    if len(raw) - payload_at != expected:
-        raise FormatError(
-            f"{path}: payload holds {len(raw) - payload_at} bytes, the header declares {expected}"
-        )
     # f0 is copied into float64, which is aligned whatever the header's length; the matrices are views of raw
     f0 = np.frombuffer(raw, dtype=f"<f{width}", count=frames, offset=payload_at).astype(np.float64)
     values = np.frombuffer(raw, dtype="<f4", offset=payload_at + width * frames)

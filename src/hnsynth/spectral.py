@@ -17,6 +17,9 @@ renders into, and divides each row by the window energy of the frames over it
 once the last block is in. Every frame is computed from its own samples alone,
 so a block's rows are bit for bit those of the whole-signal transform, and no
 (frames, fft_size) matrix of a whole clip is held.
+
+Every SpectralConfig overlap-adds to a constant (COLA), so no stage that takes
+one checks its window/hop pair again.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ def frame_view(
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """STFT parameters: FFT size (power of two), hop, window length and family."""
+    """STFT parameters: FFT size (power of two), hop, and a window (length, family) that is COLA at the hop."""
 
     fft_size: int = 2048
     hop_size: int = 512
@@ -127,6 +130,20 @@ class SpectralConfig:
             )
         if self.window not in WINDOW_FAMILIES:
             raise ValueError(f"unknown window {self.window!r}, expected one of {WINDOW_FAMILIES}")
+        # COLA: the window's hop-long slices, summed into one period, stay at its
+        # median. The median is np.median's, taken from a sort: np.median imports
+        # numpy.ma, about 1.4 MiB of resident memory for every CLI call.
+        w, n, hop = _window(self.window, self.win_size), self.win_size, self.hop_size
+        binsums = sum(w[i * hop : (i + 1) * hop] for i in range(n // hop))
+        if n % hop:
+            binsums[: n % hop] += w[-(n % hop) :]
+        ranked = np.sort(binsums)
+        median = (ranked[(hop - 1) // 2] + ranked[hop // 2]) / 2
+        if not np.max(np.abs(binsums - median)) < _COLA_TOL:
+            raise ValueError(
+                f"window={self.window!r} win={self.win_size} hop={self.hop_size} does not satisfy "
+                "constant overlap-add"
+            )
 
     @property
     def n_bins(self) -> int:
@@ -146,22 +163,6 @@ class SpectralConfig:
         off = (self.fft_size - self.win_size) // 2
         padded[off : off + self.win_size] = w
         return padded
-
-    def is_cola(self) -> bool:
-        """True when the window/hop pair satisfies constant overlap-add.
-
-        Every hop-long slice of the window is summed into one period; the
-        pair is COLA when no sample of that period strays from its median.
-        The median is np.median's, taken from a sort: np.median imports
-        numpy.ma, about 1.4 MiB of resident memory for every CLI call.
-        """
-        w, n, hop = _window(self.window, self.win_size), self.win_size, self.hop_size
-        binsums = sum(w[i * hop : (i + 1) * hop] for i in range(n // hop))
-        if n % hop:
-            binsums[: n % hop] += w[-(n % hop) :]
-        ranked = np.sort(binsums)
-        median = (ranked[(hop - 1) // 2] + ranked[hop // 2]) / 2
-        return bool(np.max(np.abs(binsums - median)) < _COLA_TOL)
 
 
 def default_spectral(sample_rate: int) -> SpectralConfig:
@@ -202,21 +203,12 @@ def stft_magnitude(x: Waveform, cfg: SpectralConfig) -> np.ndarray:
     return mag
 
 
-def require_cola(cfg: SpectralConfig) -> None:
-    """Raise ValueError unless cfg's window/hop pair satisfies constant overlap-add."""
-    if not cfg.is_cola():
-        raise ValueError(
-            f"window={cfg.window!r} win={cfg.win_size} hop={cfg.hop_size} does not satisfy "
-            "constant overlap-add; inverse STFT would not be exact"
-        )
-
-
 def istft(S, cfg: SpectralConfig, out_len: int) -> np.ndarray:
     """Overlap-add inverse STFT with window-energy normalization.
 
     S is a (frames, n_bins) spectrogram, or an iterator over its blocks of rows
     in frame order, so a caller can make the spectrogram a block at a time.
-    Requires a COLA-satisfying config; output has length exactly out_len.
+    The output has length exactly out_len.
 
     The padded output is laid out as (rows, hop_size), the layout of the
     harmonic bank's render: frame m's j-th hop-wide slice adds into row m + j,
@@ -229,7 +221,6 @@ def istft(S, cfg: SpectralConfig, out_len: int) -> np.ndarray:
         if S.ndim != 2 or S.shape[1] != cfg.n_bins:
             raise ValueError(f"spectrogram must have {cfg.n_bins} bins, got shape {S.shape}")
         blocks = (S[m : m + FRAME_BLOCK] for m in range(0, S.shape[0], FRAME_BLOCK))
-    require_cola(cfg)
     if out_len < 0:
         raise ValueError("out_len must be non-negative")
     fft, hop = cfg.fft_size, cfg.hop_size

@@ -673,9 +673,10 @@ def test_peak_reader_matches_per_frame_reader(sr, fft_size, hop_frac, frames, sh
     # hops are odd and even alike; the contour mixes unvoiced runs, low pitches
     # that keep every harmonic, pitches near Nyquist that keep only some, and
     # pitches whose harmonic k lands on Nyquist itself; the frames fill up to
-    # three of the reader's blocks
-    hop = max(1, round(hop_frac * fft_size))
-    spectral = SpectralConfig(fft_size=fft_size, hop_size=hop, win_size=fft_size)
+    # three of the reader's blocks. A window of two or more whole hops keeps
+    # the Hann pair COLA.
+    hop = max(1, round(hop_frac * fft_size / 2))
+    spectral = SpectralConfig(fft_size=fft_size, hop_size=hop, win_size=hop * (fft_size // hop))
     cfg = AnalysisConfig(hop_size=hop, k_max=k_max, peak_halfwidth_bins=halfwidth)
     rng = np.random.default_rng(seed)
     low = rng.uniform(20.0, sr / 200, frames)

@@ -458,6 +458,47 @@ def test_float_config_key_outside_its_domain_exits_with_one_line_naming_it(tmp_p
         assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["f0_max = 20000", "f0_min = 5e-324"])
+def test_metrics_refuses_a_pitch_range_before_any_spectrum(tmp_path, tone_wav, monkeypatch, capsys, line):
+    # the tracker refuses both at 22.05 kHz, and both contours are tracked
+    # before the report takes its spectra
+    def no_spectrum(*args):
+        raise AssertionError("a spectrum was taken")
+
+    monkeypatch.setattr(cli, "stft_magnitude", no_spectrum)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert cli_main(["metrics", str(tone_wav), str(tone_wav), "--config", str(cfg)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("hnsynth: ") and err.count("\n") == 1
+    assert line.split()[0] in err
+
+
+def test_metrics_of_empty_wavs_prints_the_trackers_line(tmp_path, capsys):
+    # the line analyze prints for the same input
+    path = tmp_path / "empty.wav"
+    write_wav(Waveform(np.zeros(0), SR), path)
+    for argv in (["metrics", str(path), str(path)], ["analyze", str(path), "-o", str(tmp_path / "o.hnsf")]):
+        assert cli_main(argv) == 5
+        assert capsys.readouterr().err == "hnsynth: signal too short: need at least 2 frames of hop 256\n"
+
+
+def test_a_config_file_that_is_not_utf8_exits_4_naming_the_file(tmp_path, tone_wav, capsys):
+    feat, out = tmp_path / "tone.hnsf", tmp_path / "y.wav"
+    assert cli_main(["analyze", str(tone_wav), "-o", str(feat)]) == 0
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# café\nfft_size = 1024\n".encode("latin-1"))
+    for argv in (["metrics", str(tone_wav), str(tone_wav)], ["synth", str(feat), "-o", str(out)]):
+        assert cli_main([*argv, "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"hnsynth: {cfg}: ") and err.count("\n") == 1
+    assert not out.exists()
+    # a byte order mark is not part of the first key
+    cfg.write_bytes("\ufefffft_size = 1024\n".encode("utf-8"))
+    assert cli_main(["synth", str(feat), "-o", str(out), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_mismatched_metrics_inputs_exit_5(tmp_path, tone_wav, capsys):
     short = tmp_path / "short.wav"
     write_wav(Waveform(np.zeros(1000), SR), short)
@@ -716,6 +757,31 @@ def test_malformed_bundle_exits_4(tmp_path, capsys, edit):
         err = capsys.readouterr().err
         assert err.startswith("hnsynth: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("n_bins", [None, 2**30 + 1], ids=["bins-of-the-payload", "bins-of-the-window"])
+def test_a_header_declaring_a_huge_window_exits_4_before_building_it(tmp_path, monkeypatch, capsys, n_bins):
+    # a config builds its window, 16 GiB at 2**31 samples; the header's sizes
+    # are checked against the payload first, so the window is never asked for
+    window = spectral._window
+
+    def bounded(name, length):
+        assert length <= 2**20, f"a {length}-sample window was built"
+        return window(name, length)
+
+    def edit(header, payload):
+        header["spectral"].update(fft_size=2**31, win_size=2**31)
+        header["n_bins"] = n_bins or header["n_bins"]
+        return header, payload
+
+    raw = _bundle_bytes(tmp_path)
+    monkeypatch.setattr(spectral, "_window", bounded)
+    bad, out = tmp_path / "huge.hnsf", tmp_path / "y.wav"
+    bad.write_bytes(_edit_bundle(raw, edit))
+    assert cli_main(["synth", str(bad), "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("hnsynth: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["f0_min", "voicing_threshold", "silence_rms"])

@@ -1,5 +1,6 @@
 """Config file parsing, schema enforcement, and precedence."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -67,6 +68,15 @@ def test_bad_value_rejected(tmp_path):
 def test_missing_equals_rejected(tmp_path):
     path = write_cfg(tmp_path, "n_mels 80\n")
     with pytest.raises(FormatError):
+        parse_config_file(path)
+
+
+def test_config_file_is_utf8_text_with_an_optional_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes("\ufefffft_size = 512\n# café\n".encode("utf-8"))
+    assert parse_config_file(path) == {"fft_size": 512}
+    path.write_bytes("fft_size = 512\n# café\n".encode("latin-1"))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
         parse_config_file(path)
 
 

@@ -76,19 +76,21 @@ def test_bundle_validates_shared_frames_and_hop(rng):
         )
 
 
-def test_bundle_refuses_a_window_hop_pair_that_fails_cola(rng):
-    # the noise branch's inverse STFT could not render it exactly
-    spectral = dataclasses.replace(SPEC, hop_size=300)
-    b = random_bundle(rng)
+def test_bundle_refuses_a_window_hop_pair_that_fails_cola(tmp_path, rng):
+    # the noise branch overlap-adds the window at the hop; the config a bundle
+    # would carry refuses the pair, and so does a file's header
     with pytest.raises(ValueError, match="constant overlap-add"):
-        FeatureBundle(
-            f0=F0Contour.from_values(b.f0.values, 300),
-            harmonics=b.harmonics,
-            noise=b.noise,
-            sample_rate=22050,
-            spectral=spectral,
-            analysis=AnalysisConfig(hop_size=300),
-        )
+        dataclasses.replace(SPEC, hop_size=300)
+    path = tmp_path / "b.hnsf"
+    save_features(random_bundle(rng), path)
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8 : 8 + header_len])
+    header["spectral"]["win_size"] = 2000
+    blob = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[8 + header_len :])
+    with pytest.raises(FormatError, match="invalid header: .*constant overlap-add"):
+        load_features(path)
 
 
 def test_save_load_identity_on_random_bundle(tmp_path, rng):
