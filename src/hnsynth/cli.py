@@ -20,12 +20,12 @@ from . import __version__
 from .analysis import estimate_f0
 from .config import ToolConfig, build_tool_config, describe_schema, parse_config_file
 from .errors import FormatError
-from .features import analyze_bundle, load_features, render_bundle, save_features
+from .features import analyze_bundle, load_features, render_bundle, render_chunks, save_features
 from .ioutil import atomic_write
 from .losses import f0_rmse
 from .spectral import log_mel, multi_resolution_configs, stft_magnitude
 from .types import F0Contour, Waveform
-from .wavio import WAV_FORMATS, quantize, read_wav, write_wav
+from .wavio import WAV_FORMATS, quantize, read_wav, write_wav, write_wav_chunks
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,8 +133,13 @@ def _cmd_analyze(args) -> int:
 def _cmd_synth(args) -> int:
     bundle = load_features(args.input)
     tool = _tool_config(args, bundle.sample_rate)
-    y = render_bundle(bundle, seed=tool.seed)
-    clipped = write_wav(y, args.output, args.format)
+    # each chunk is quantized and written as it is summed, so no whole-clip render is held
+    chunks = render_chunks(bundle, seed=tool.seed)
+    try:
+        n = bundle.frames * bundle.hop_size
+        clipped = write_wav_chunks(chunks, n, bundle.sample_rate, args.output, args.format)
+    finally:
+        chunks.close()
     if clipped:
         print(f"hnsynth: clipped {clipped} samples", file=sys.stderr)
     return 0

@@ -76,18 +76,19 @@ def parse_config_file(path) -> dict:
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
+        where = f"{path}: line {lineno}"
         if "=" not in text:
-            raise FormatError(f"expected 'key = value', got {raw.strip()!r}", line=lineno)
+            raise FormatError(f"{where}: expected 'key = value', got {raw.strip()!r}", line=lineno)
         key, _, value = text.partition("=")
         key, value = key.strip(), value.strip()
         if key not in SCHEMA:
             known = ", ".join(sorted(SCHEMA))
-            raise FormatError(f"unknown config key {key!r} (known: {known})", line=lineno)
+            raise FormatError(f"{where}: unknown config key {key!r} (known: {known})", line=lineno)
         parser = SCHEMA[key][0]
         try:
             overrides[key] = parser(value)
         except ValueError as exc:
-            raise FormatError(f"bad value for {key}: {exc}", line=lineno) from exc
+            raise FormatError(f"{where}: bad value for {key}: {exc}", line=lineno) from exc
     return overrides
 
 

@@ -6,12 +6,11 @@ from __future__ import annotations
 class FormatError(Exception):
     """A file does not conform to one of the documented on-disk formats.
 
-    ``line`` is set for text formats where a specific line is at fault.
+    ``line`` is set for text formats where a specific line is at fault; the
+    message names the file and the line itself.
     """
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -28,8 +28,10 @@ import numpy as np
 from .analysis import AnalysisConfig, analyze
 from .errors import FormatError
 from .ioutil import atomic_write
-from .spectral import SpectralConfig
-from .synth import harmonic_synthesize, noise_synthesize
+from .spectral import SpectralConfig, join_chunks
+# harmonic_synthesize is not called here, but the benchmark's tracer test
+# (bench/test_bench.py) checks that this module binds it
+from .synth import harmonic_chunks, harmonic_synthesize, noise_chunks  # noqa: F401
 from .types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
 MAGIC = b"HNSF"
@@ -94,39 +96,126 @@ def analyze_bundle(x: Waveform, analysis: AnalysisConfig, spectral: SpectralConf
     return FeatureBundle(*analyze(x, analysis, spectral), x.sample_rate, spectral, analysis)
 
 
-def render_bundle(bundle: FeatureBundle, seed: int = 0) -> Waveform:
-    """Synthesize the harmonic and noise branches of a bundle and sum them.
+# Bank chunks the helper may make ahead of the sum. A noise block of
+# spectral.FRAME_BLOCK frames spans two bank blocks, so the bank can run a whole
+# noise block ahead while the caller renders it.
+_HANDOFF_DEPTH = 4
+
+
+class _Handoff:
+    """A bounded first-in first-out handoff from one producer thread to one consumer.
+
+    put waits while the handoff is full, get while it is empty. Once the
+    consumer closes it, a waiting or later put returns False, so the producer
+    can stop.
+    """
+
+    def __init__(self, depth: int):
+        self._items = []
+        self._depth = depth
+        self._closed = False
+        self._changed = threading.Condition()
+
+    def put(self, item) -> bool:
+        with self._changed:
+            while len(self._items) >= self._depth and not self._closed:
+                self._changed.wait()
+            if self._closed:
+                return False
+            self._items.append(item)
+            self._changed.notify()
+            return True
+
+    def get(self):
+        with self._changed:
+            while not self._items:
+                self._changed.wait()
+            self._changed.notify()
+            return self._items.pop(0)
+
+    def close(self) -> None:
+        with self._changed:
+            self._closed = True
+            self._items.clear()
+            self._changed.notify()
+
+
+def _received(handoff: _Handoff):
+    """The chunks put into the handoff, up to the None that ends them; an exception put there is raised."""
+    while (item := handoff.get()) is not None:
+        if isinstance(item, BaseException):
+            raise item
+        yield item
+
+
+def _added(xs, ys):
+    """The sum of two streams of chunks over the same samples, chunk by chunk."""
+    x = y = ()
+    while True:
+        if not len(x):
+            x = next(xs, None)
+        if not len(y):
+            y = next(ys, None)
+        if x is None or y is None:
+            return
+        k = min(len(x), len(y))
+        yield x[:k] + y[:k]
+        x, y = x[k:], y[k:]
+
+
+def render_chunks(bundle: FeatureBundle, seed: int = 0):
+    """render_bundle's samples as a stream of chunks, each the harmonic chunk plus the noise chunk.
 
     Neither branch reads the other's output, so they run concurrently: the bank
-    on a helper thread, the noise branch on the caller's. numpy releases the
-    GIL inside the coarse calls both make, so on two CPUs they overlap. The sum
-    is the harmonic render plus the noise render, the same bytes as running
-    them one after the other. The helper runs in a copy of the caller's
-    context, where numpy 2 keeps np.errstate, so a caller's error state holds in
-    both branches. An exception of either branch is raised here, with its own
-    type and message, once the helper has ended.
-    """
-    bank = {}
+    on a helper thread, the noise branch, the sum and whatever the caller does
+    with each chunk on the caller's. numpy releases the GIL inside the coarse
+    calls both make, so on two CPUs they overlap. The helper passes its chunks
+    through a handoff of _HANDOFF_DEPTH, so it runs at most that far ahead and
+    the stream holds a few blocks of each branch, not a whole clip. The helper
+    runs in a copy of the caller's context, where numpy 2 keeps np.errstate, so
+    a caller's error state holds in both branches. An exception of either
+    branch is raised here, with its own type and message.
 
-    def harmonic():
+    The helper starts with the first chunk asked for. Once the stream ends,
+    raises or is closed, the helper is stopped and joined, even one waiting on
+    a full handoff; a caller that stops early must close the stream.
+    """
+    handoff = _Handoff(_HANDOFF_DEPTH)
+
+    def bank():
         try:
-            bank["samples"] = harmonic_synthesize(bundle.f0, bundle.harmonics, bundle.sample_rate).samples
+            for chunk in harmonic_chunks(bundle.f0, bundle.harmonics, bundle.sample_rate):
+                if not handoff.put(chunk):
+                    return  # the caller has closed the stream
+            handoff.put(None)
         except BaseException as exc:  # raised again on the caller's thread
-            bank["error"] = exc
+            handoff.put(exc)
 
     # The bank, not the noise branch, takes the helper: the helper allocates from
     # a malloc arena of its own, which cannot reuse the blocks the caller frees,
     # and with the noise branch there a 15 s render's peak RSS measured higher.
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(harmonic,))
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(bank,))
     helper.start()
     try:
-        noise = noise_synthesize(bundle.noise, bundle.spectral, seed, bundle.sample_rate).samples
+        yield from _added(_received(handoff), noise_chunks(bundle.noise, bundle.spectral, seed))
     finally:
+        handoff.close()
         helper.join()
-    if "error" in bank:
-        raise bank["error"]
-    samples = bank["samples"]
-    samples += noise
+
+
+def render_bundle(bundle: FeatureBundle, seed: int = 0) -> Waveform:
+    """Synthesize the harmonic and noise branches of a bundle and sum them.
+
+    The branches run concurrently, as render_chunks says, and the sum is the
+    harmonic render plus the noise render, the same bytes as running them one
+    after the other. An exception of either branch is raised here, with its
+    own type and message, once the helper has ended.
+    """
+    chunks = render_chunks(bundle, seed)
+    try:
+        samples = join_chunks(chunks, bundle.frames * bundle.hop_size)
+    finally:
+        chunks.close()
     return Waveform(samples, bundle.sample_rate)
 
 

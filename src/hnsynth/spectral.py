@@ -11,12 +11,19 @@ line up.
 
 The framed stages walk the grid in blocks of FRAME_BLOCK frames: frame_view
 cuts any range of rows, copying only the samples those rows cover, stft takes
-the spectra of any range of frames, and istft overlap-adds a spectrogram given
-block by block into (rows, hop_size) output rows, the layout the harmonic bank
-renders into, and divides each row by the window energy of the frames over it
-once the last block is in. Every frame is computed from its own samples alone,
-so a block's rows are bit for bit those of the whole-signal transform, and no
-(frames, fft_size) matrix of a whole clip is held.
+the spectra of any range of frames, and istft_chunks overlap-adds a
+spectrogram given block by block into (rows, hop_size) output rows, the layout
+the harmonic bank renders into. Once a block's frames are in, the rows below
+its last frame have every slice they get, so they are divided by the window
+energy of the slices over them and passed on; only the span - 1 rows that
+later frames still reach are carried to the next block. Every frame is
+computed from its own samples alone, so a block's rows are bit for bit those
+of the whole-signal transform, and no (frames, fft_size) matrix or whole-clip
+output of a clip is held. istft joins the stream into one array.
+
+A stream of output samples is a sequence of flat chunks that hold samples
+0, 1, ... in order: grid_samples cuts one from a grid of hop-long rows, and
+join_chunks gathers one into an array.
 
 Every SpectralConfig overlap-adds to a constant (COLA), so no stage that takes
 one checks its window/hop pair again.
@@ -107,6 +114,20 @@ def frame_view(
     return as_strided(xp, (stop - start, length), (hop_size * step, step), writeable=False)
 
 
+def _overlap_sums(w: np.ndarray, hop: int) -> np.ndarray:
+    """The window's hop-long slices summed into one period of hop samples, added left to right.
+
+    The whole slices are summed by one cumsum down the rows of their matrix,
+    which adds them in order as a loop over the slices would; a pairwise sum
+    (np.sum) would round some sums differently.
+    """
+    n = len(w)
+    sums = np.cumsum(w[: n // hop * hop].reshape(-1, hop), axis=0)[-1]
+    if n % hop:
+        sums[: n % hop] += w[-(n % hop) :]
+    return sums
+
+
 @dataclass(frozen=True)
 class SpectralConfig:
     """STFT parameters: FFT size (power of two), hop, and a window (length, family) that is COLA at the hop."""
@@ -133,10 +154,8 @@ class SpectralConfig:
         # COLA: the window's hop-long slices, summed into one period, stay at its
         # median. The median is np.median's, taken from a sort: np.median imports
         # numpy.ma, about 1.4 MiB of resident memory for every CLI call.
-        w, n, hop = _window(self.window, self.win_size), self.win_size, self.hop_size
-        binsums = sum(w[i * hop : (i + 1) * hop] for i in range(n // hop))
-        if n % hop:
-            binsums[: n % hop] += w[-(n % hop) :]
+        hop = self.hop_size
+        binsums = _overlap_sums(_window(self.window, self.win_size), hop)
         ranked = np.sort(binsums)
         median = (ranked[(hop - 1) // 2] + ranked[hop // 2]) / 2
         if not np.max(np.abs(binsums - median)) < _COLA_TOL:
@@ -203,16 +222,92 @@ def stft_magnitude(x: Waveform, cfg: SpectralConfig) -> np.ndarray:
     return mag
 
 
-def istft(S, cfg: SpectralConfig, out_len: int) -> np.ndarray:
-    """Overlap-add inverse STFT with window-energy normalization.
+def grid_samples(blocks, lead: int, n: int):
+    """Samples 0 .. n - 1 of a grid of hop-long rows given block by block, as a stream of chunks.
 
-    S is a (frames, n_bins) spectrogram, or an iterator over its blocks of rows
-    in frame order, so a caller can make the spectrogram a block at a time.
-    The output has length exactly out_len.
+    blocks yields (rows, hop) C-contiguous arrays of consecutive rows; row 0
+    starts lead samples before sample 0. Each chunk is a view of its block.
+    Where the grid ends before sample n, the stream ends with zeros.
+    """
+    at = -lead  # sample the next block starts at
+    for block in blocks:
+        flat = block.reshape(-1)
+        if at + len(flat) > 0:
+            yield flat[max(0, -at) : n - at]
+        at += len(flat)
+        if at >= n:
+            return
+    yield np.zeros(n - max(at, 0))
 
-    The padded output is laid out as (rows, hop_size), the layout of the
-    harmonic bank's render: frame m's j-th hop-wide slice adds into row m + j,
-    and each row is then divided by the window energy of the slices over it.
+
+def join_chunks(chunks, n: int) -> np.ndarray:
+    """The n samples a stream of chunks holds, gathered into one array."""
+    out = np.empty(n)
+    at = 0
+    for chunk in chunks:
+        out[at : at + len(chunk)] = chunk
+        at += len(chunk)
+    return out
+
+
+def _overlap_add_rows(blocks, cfg: SpectralConfig):
+    """The padded output rows of the inverse STFT of a stream of spectrogram blocks, normalized.
+
+    Frame m's j-th hop-wide slice adds into row m + j, the slices of a block in
+    reverse order, so each sample sums its frames in frame order. Row r is
+    covered by slices j = max(0, r - frames + 1) .. min(span - 1, r), so every
+    interior row shares one window energy and each edge row has its own. Yields
+    one block of rows per spectrogram block, then the span - 1 tail rows.
+    """
+    fft, hop = cfg.fft_size, cfg.hop_size
+    w = cfg.window_array()
+    w2 = w * w
+    span = -(-fft // hop)  # hop-wide slices per frame; the last is narrower when hop does not divide fft
+    energies = {}
+
+    def normalize(rows, first, added):
+        """Divide rows first, first + 1, ... by the energy of the slices over each, once `added` frames are in."""
+        r, end = first, first + len(rows)
+        while r < end:
+            lo, hi = max(0, r - added + 1), min(span - 1, r)
+            stop = min(added, end) if span - 1 <= r < added else r + 1
+            if (lo, hi) not in energies:
+                ws = np.zeros(hop)
+                for j in reversed(range(lo, hi + 1)):
+                    ws[: min(hop, fft - j * hop)] += w2[j * hop : (j + 1) * hop]
+                energies[lo, hi] = ws
+            ws = energies[lo, hi]
+            seg, ok = rows[r - first : stop - first], ws > _OLA_EPS
+            np.divide(seg, ws, out=seg, where=ok)
+            seg[:, ~ok] = 0.0
+            r = stop
+
+    carry = np.zeros((span - 1, hop))  # the rows past the frames added so far that they reach
+    m = 0  # frames added so far
+    for block in blocks:
+        if block.ndim != 2 or block.shape[1] != cfg.n_bins:
+            raise ValueError(f"spectrogram must have {cfg.n_bins} bins, got shape {block.shape}")
+        frames = np.fft.irfft(block, n=fft, axis=1).astype(np.float64, copy=False)  # float64 for float32 blocks too
+        frames *= w
+        count = len(frames)
+        rows = np.zeros((count + span - 1, hop))
+        rows[: span - 1] = carry
+        for j in reversed(range(span)):
+            rows[j : j + count, : min(hop, fft - j * hop)] += frames[:, j * hop : (j + 1) * hop]
+        del block, frames  # gone before the caller takes the rows and the next block is made
+        done, carry = rows[:count], rows[count:]
+        normalize(done, m, m + count)
+        m += count
+        yield done
+    normalize(carry, m, m)
+    yield carry
+
+
+def istft_chunks(S, cfg: SpectralConfig, out_len: int):
+    """istft(S, cfg, out_len) as a stream of chunks, one per block of S's frames.
+
+    Each chunk is a view of the output rows the block finished, so the
+    stream holds one block of rows and the span - 1 rows after it at a time.
     """
     if hasattr(S, "__next__"):  # an iterator over row blocks
         blocks = S
@@ -223,33 +318,22 @@ def istft(S, cfg: SpectralConfig, out_len: int) -> np.ndarray:
         blocks = (S[m : m + FRAME_BLOCK] for m in range(0, S.shape[0], FRAME_BLOCK))
     if out_len < 0:
         raise ValueError("out_len must be non-negative")
-    fft, hop = cfg.fft_size, cfg.hop_size
-    w = cfg.window_array()
-    span = -(-fft // hop)  # hop-wide slices per frame; the last is narrower when hop does not divide fft
-    grid = np.zeros((-(-(cfg.pad_left + out_len) // hop), hop))
-    m = 0  # frames added so far
-    for block in blocks:
-        if block.ndim != 2 or block.shape[1] != cfg.n_bins:
-            raise ValueError(f"spectrogram must have {cfg.n_bins} bins, got shape {block.shape}")
-        frames = np.fft.irfft(block, n=fft, axis=1).astype(np.float64, copy=False)  # float64 for float32 blocks too
-        frames *= w
-        # slices in reverse order, so each sample sums its frames in frame order
-        for j in reversed(range(span)):
-            rows = grid[m + j : m + j + len(frames), : min(hop, fft - j * hop)]
-            rows += frames[: len(rows), j * hop : (j + 1) * hop]
-        m += len(frames)
-    # Row r is covered by slices j = max(0, r - m + 1) .. min(span - 1, r), so
-    # every interior row shares one window energy and each edge row has its own.
-    w2 = w * w
-    bounds = sorted({*range(span), *range(m, m + span)})
-    for lo, hi in zip(bounds, bounds[1:]):
-        ws = np.zeros(hop)
-        for j in reversed(range(max(0, lo - m + 1), min(span - 1, lo) + 1)):
-            ws[: min(hop, fft - j * hop)] += w2[j * hop : (j + 1) * hop]
-        rows, ok = grid[lo:hi], ws > _OLA_EPS
-        np.divide(rows, ws, out=rows, where=ok)
-        rows[:, ~ok] = 0.0
-    return grid.reshape(-1)[cfg.pad_left : cfg.pad_left + out_len]
+    return grid_samples(_overlap_add_rows(blocks, cfg), cfg.pad_left, out_len)
+
+
+def istft(S, cfg: SpectralConfig, out_len: int) -> np.ndarray:
+    """Overlap-add inverse STFT with window-energy normalization.
+
+    S is a (frames, n_bins) spectrogram, or an iterator over its blocks of rows
+    in frame order, so a caller can make the spectrogram a block at a time.
+    The output has length exactly out_len.
+
+    The padded output is laid out as (rows, hop_size), the layout of the
+    harmonic bank's render: frame m's j-th hop-wide slice adds into row m + j,
+    and each row is then divided by the window energy of the slices over it.
+    It is istft_chunks' stream, joined.
+    """
+    return join_chunks(istft_chunks(S, cfg, out_len), out_len)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ reads start[r] + slope[r] * j. The grid runs past the signal at both ends:
 row 0 starts hop - hop//2 samples before sample 0, and the tail row ends past
 the last sample. A walk lays f0(n) out on whole rows of the contour's grid
 alone and sets it to 0 on the grid samples before sample 0, so psi starts at
-sample 0 and those samples count as unvoiced like any other; the bank crops
-its output from the grid once.
+sample 0 and those samples count as unvoiced like any other; the bank's stream
+crops the signal's samples from the grid's rows as it passes them on.
 
-The bank walks the grid in blocks of a few dozen whole rows. Each block lays
-out its own f0(n) and continues the extended-precision sum of f0(n) from the
-block before, adding the carry to its first sample ahead of the running sum, so
+The bank walks the grid in blocks of a few dozen whole rows and yields each
+block's finished rows (harmonic_chunks), so it holds no whole-clip grid. Each
+block lays out its own f0(n) and continues the extended-precision sum of f0(n)
+from the block before, adding the carry to its first sample ahead of the running sum, so
 psi is bit for bit that of one whole-length sum and no whole-length f0(n) or
 psi is held. In each block one walker, _Block.harmonics, takes z = e^{i psi(n)}
 once and steps the phasor recurrence z_k = z_{k-1} * z from ones, so sin(phi_k)
@@ -47,13 +48,15 @@ so each slice is still in cache when it is read back.
 
 The noise branch inverts a magnitude spectrogram with uniformly random phase,
 a block of spectral.FRAME_BLOCK frames at a time: each block draws its phases,
-is inverted and is overlap-added before the next is drawn. The draws come from
-one generator in C order, so they are those of one whole-matrix draw.
+is inverted and is overlap-added before the next is drawn, and the rows it
+finishes are passed on (noise_chunks). The draws come from one generator in C
+order, so they are those of one whole-matrix draw.
 Both branches are pure functions; the noise branch is pure given its seed.
-Neither reads the other's output or any shared state, so
-features.render_bundle runs them concurrently, the bank on a helper thread and
-the noise branch on the caller's, and sums them into the same bytes as a
-serial run.
+Each is a stream of output chunks, and harmonic_synthesize and
+noise_synthesize join them. Neither reads the other's output or any shared
+state, so features.render_chunks runs them concurrently, the bank on a helper
+thread and the noise branch on the caller's, and sums them chunk by chunk into
+the same bytes as a serial run.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import FRAME_BLOCK, SpectralConfig, frame_anchor, istft
+from .spectral import FRAME_BLOCK, SpectralConfig, frame_anchor, grid_samples, istft_chunks, join_chunks
 from .types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
 
 # Grid rows per block: enough to amortize numpy's per-call overhead, few enough
@@ -191,42 +194,31 @@ def _phasor_blocks(f0: F0Contour, sample_rate: int, k_max: int):
         )
 
 
-def harmonic_synthesize(
-    f0: F0Contour,
-    amplitudes: HarmonicAmplitudes,
-    sample_rate: int,
-) -> Waveform:
-    """Render the sinusoidal bank driven by frame-level f0 and amplitudes.
+def _bank_rows(f0: F0Contour, amplitudes: HarmonicAmplitudes, sample_rate: int):
+    """The bank's segment grid, frames + 1 rows of hop samples, a block of _BLOCK_ROWS rows at a time.
 
-    Output length is frames * hop_size. Any (sample, harmonic) pair whose
-    frequency k*f0(n) reaches Nyquist contributes exactly zero, as do all
-    harmonics wherever the interpolated f0 is zero (unvoiced regions).
+    A block with no voiced sample or no live harmonic is zeros.
     """
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
-    if amplitudes.frames != f0.frames:
-        raise ValueError(
-            f"frame count mismatch: f0 has {f0.frames} frames, amplitudes {amplitudes.frames}"
-        )
-    if f0.values.size and f0.values.max() >= sample_rate / 2.0:
-        raise ValueError("f0 values must stay below Nyquist for this sample rate")
-
     hop = f0.hop_size
-    n = f0.frames * hop
     offsets = np.arange(hop, dtype=np.float64)
-
-    grid = np.zeros((f0.frames + 1, hop))
-    for b in _phasor_blocks(f0, sample_rate, amplitudes.k_max):
+    total_rows = f0.frames + 1
+    # one buffer for every block's sine matrix: a block allocating its own
+    # while the last one is still bound would hold two
+    sine_buf = np.empty(_SLICE_HARMONICS * _BLOCK_ROWS * hop)
+    voiced = _phasor_blocks(f0, sample_rate, amplitudes.k_max)
+    b = next(voiced, None)
+    for r0 in range(0, total_rows, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, total_rows - r0)
+        if b is None or b.rows.start != r0:
+            yield np.zeros((rows, hop))
+            continue
         # the block's amplitude ramps alone, from the float32 matrix
         start, slope = _segment_grid(amplitudes.values, hop, b.rows)
         live = (start != 0).any(axis=0) | (slope != 0).any(axis=0)
         ks = np.flatnonzero(live[: b.k_live]) + 1
-        if ks.size == 0:
-            continue
-        rows = start.shape[0]
         coef = np.stack((start[:, ks - 1], slope[:, ks - 1]), axis=1)
         # one row of sin(k psi) per live harmonic of the slice
-        sines = np.empty((min(ks.size, _SLICE_HARMONICS), rows * hop))
+        sines = sine_buf[: min(ks.size, _SLICE_HARMONICS) * rows * hop].reshape(-1, rows * hop)
         sums = np.zeros((rows, 2, hop))
         walk = b.harmonics(ks)
         for first in range(0, ks.size, _SLICE_HARMONICS):
@@ -238,9 +230,74 @@ def harmonic_synthesize(
             # over the slice's harmonics of start * sine and slope * sine
             block = sines[: part.size].reshape(part.size, rows, hop).transpose(1, 0, 2)
             sums += coef[:, :, first : first + part.size] @ block
-        grid[b.rows] += sums[:, 1] * offsets + sums[:, 0]
-    lead = -frame_anchor(-1, hop)
-    return Waveform(grid.reshape(-1)[lead : lead + n], sample_rate)
+        ramp = sums[:, 1] * offsets + sums[:, 0]
+        # the block's phasors and sums go before the next block's are made
+        del b, walk, sums
+        yield ramp
+        b = next(voiced, None)
+
+
+def harmonic_chunks(f0: F0Contour, amplitudes: HarmonicAmplitudes, sample_rate: int):
+    """harmonic_synthesize's samples as a stream of chunks, one per block of grid rows.
+
+    The inputs are checked when it is called; each chunk is made when it is asked for.
+    """
+    if sample_rate <= 0:
+        raise ValueError("sample_rate must be positive")
+    if amplitudes.frames != f0.frames:
+        raise ValueError(
+            f"frame count mismatch: f0 has {f0.frames} frames, amplitudes {amplitudes.frames}"
+        )
+    if f0.values.size and f0.values.max() >= sample_rate / 2.0:
+        raise ValueError("f0 values must stay below Nyquist for this sample rate")
+    lead = -frame_anchor(-1, f0.hop_size)  # grid samples before sample 0
+    return grid_samples(_bank_rows(f0, amplitudes, sample_rate), lead, f0.frames * f0.hop_size)
+
+
+def harmonic_synthesize(
+    f0: F0Contour,
+    amplitudes: HarmonicAmplitudes,
+    sample_rate: int,
+) -> Waveform:
+    """Render the sinusoidal bank driven by frame-level f0 and amplitudes.
+
+    Output length is frames * hop_size. Any (sample, harmonic) pair whose
+    frequency k*f0(n) reaches Nyquist contributes exactly zero, as do all
+    harmonics wherever the interpolated f0 is zero (unvoiced regions).
+    It is harmonic_chunks' stream, joined.
+    """
+    n = f0.frames * f0.hop_size
+    return Waveform(join_chunks(harmonic_chunks(f0, amplitudes, sample_rate), n), sample_rate)
+
+
+def _random_phase(rng: np.random.Generator, mags: np.ndarray) -> np.ndarray:
+    """mags times e^{i phase}, with a phase drawn uniformly in [-pi, pi) for each value."""
+    phases = rng.uniform(-np.pi, np.pi, size=mags.shape)
+    # e^{i phase} as cos and sin into one complex buffer, bit for bit np.exp(1j * phase)
+    spec = np.empty(mags.shape, dtype=np.complex128)
+    np.cos(phases, out=spec.real)
+    np.sin(phases, out=spec.imag)
+    spec *= mags
+    return spec
+
+
+def noise_chunks(noise: NoiseMagnitudeSpectrum, spectral: SpectralConfig, seed: int):
+    """noise_synthesize's samples as a stream of chunks, one per block of spectral.FRAME_BLOCK frames.
+
+    The inputs are checked when it is called; each block's phases are drawn
+    when its chunk is asked for.
+    """
+    if noise.bins != spectral.n_bins:
+        raise ValueError(
+            f"noise spectrum has {noise.bins} bins but config expects {spectral.n_bins}"
+        )
+    rng = np.random.default_rng(seed)
+    # uniform fills in C order, so drawing block after block from one
+    # generator gives each frame the phases of one whole-matrix draw
+    spectra = (
+        _random_phase(rng, noise.values[first : first + FRAME_BLOCK]) for first in range(0, noise.frames, FRAME_BLOCK)
+    )
+    return istft_chunks(spectra, spectral, noise.frames * spectral.hop_size)
 
 
 def noise_synthesize(
@@ -254,24 +311,7 @@ def noise_synthesize(
     The phase matrix is drawn from a generator seeded with `seed`, so identical
     (noise, spectral, seed) inputs produce bit-identical output. Output length
     is frames * hop_size, matching the harmonic branch for the same framing.
+    It is noise_chunks' stream, joined.
     """
-    if noise.bins != spectral.n_bins:
-        raise ValueError(
-            f"noise spectrum has {noise.bins} bins but config expects {spectral.n_bins}"
-        )
-    rng = np.random.default_rng(seed)
-
-    def spectra():
-        # uniform fills in C order, so drawing block after block from one
-        # generator gives each frame the phases of one whole-matrix draw
-        for first in range(0, noise.frames, FRAME_BLOCK):
-            mags = noise.values[first : first + FRAME_BLOCK]
-            phases = rng.uniform(-np.pi, np.pi, size=mags.shape)
-            # e^{i phase} as cos and sin into one complex buffer, bit for bit np.exp(1j * phase)
-            spec = np.empty(mags.shape, dtype=np.complex128)
-            np.cos(phases, out=spec.real)
-            np.sin(phases, out=spec.imag)
-            spec *= mags
-            yield spec
-
-    return Waveform(istft(spectra(), spectral, noise.frames * spectral.hop_size), sample_rate)
+    n = noise.frames * spectral.hop_size
+    return Waveform(join_chunks(noise_chunks(noise, spectral, seed), n), sample_rate)

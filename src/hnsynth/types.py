@@ -21,12 +21,16 @@ def _as_float_array(values, name: str, ndim: int, dtype=np.float64, signed: bool
         arr = arr.astype(np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or Inf")
-    if not signed and arr.size and arr.min() < 0:
-        raise ValueError(f"{name} must be non-negative")
-    if arr.max(initial=0.0) > np.finfo(dtype).max:
-        raise ValueError(f"a feature value lies beyond {np.dtype(dtype).name}'s range")
+    if arr.size:
+        # min and max carry any NaN, so both are finite exactly when every value
+        # is, and no whole-array mask (1 B per value) is made
+        lo, hi = arr.min(), arr.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"{name} contains NaN or Inf")
+        if not signed and lo < 0:
+            raise ValueError(f"{name} must be non-negative")
+        if hi > np.finfo(dtype).max:
+            raise ValueError(f"a feature value lies beyond {np.dtype(dtype).name}'s range")
     return np.ascontiguousarray(arr, dtype=dtype)
 
 

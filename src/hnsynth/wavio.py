@@ -5,7 +5,8 @@ WAVE_FORMAT_EXTENSIBLE fmt chunk, in a RIFF or RF64 file of any channel
 count. Any other codec raises UnsupportedAudioError rather than guessing at
 a scale, and a header that does not parse raises FormatError. Writes are
 atomic (temp file + rename) so a crashed run never leaves a truncated WAV
-behind.
+behind. A stream of samples whose length is known can be written chunk by
+chunk (write_wav_chunks), with the header first.
 """
 
 from __future__ import annotations
@@ -167,13 +168,17 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, rate)
 
 
+def _check_format(format: str) -> None:
+    if format not in WAV_FORMATS:
+        raise ValueError(f"unknown WAV format {format!r}, expected one of {WAV_FORMATS}")
+
+
 def quantize(x: Waveform, format: str) -> tuple[Waveform, int]:
     """x clipped to [-1, 1] and rounded as a WAV of this format stores it, and the clipped count.
 
     read_wav of the file write_wav makes from x returns exactly these samples.
     """
-    if format not in WAV_FORMATS:
-        raise ValueError(f"unknown WAV format {format!r}, expected one of {WAV_FORMATS}")
+    _check_format(format)
     clipped = int(np.count_nonzero(x.samples < -1.0) + np.count_nonzero(x.samples > 1.0))
     samples = np.clip(x.samples, -1.0, 1.0)
     if format == "pcm16":
@@ -187,30 +192,52 @@ def quantize(x: Waveform, format: str) -> tuple[Waveform, int]:
     return Waveform(samples, x.sample_rate), clipped
 
 
+def write_wav_chunks(chunks, n_samples: int, sample_rate: int, path, format: str = "float32") -> int:
+    """Write a stream of n_samples samples, given as chunks in order, as write_wav writes them.
+
+    Returns the clipped-sample count. The header holds the length, so it is
+    made and checked before the first chunk is read. Each chunk is quantized
+    and written as it comes, into the temp file of one atomic write, so an
+    exception, or a stream that does not hold n_samples samples, leaves no file.
+    """
+    _check_format(format)
+    if format == "pcm16":
+        dtype, tag, cb_size, fact = "<i2", _PCM, b"", b""
+    else:
+        dtype, tag, cb_size, fact = "<f4", _IEEE_FLOAT, b"\x00\x00", b"fact" + struct.pack("<II", 4, n_samples)
+    width = np.dtype(dtype).itemsize
+    # the header stores rate * bytes per sample as a uint32 byte rate
+    if sample_rate * width >= 2**32:
+        raise ValueError(f"a {format} WAV header cannot hold a rate of {sample_rate} Hz")
+    nbytes = n_samples * width
+    fmt = struct.pack("<HHIIHH", tag, 1, sample_rate, sample_rate * width, width, 8 * width) + cb_size
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + fact + b"data" + struct.pack("<I", nbytes)
+    if len(body) + nbytes > _RIFF_MAX:
+        raise ValueError(f"{nbytes} bytes of samples do not fit a RIFF WAV file")
+    clipped = written = 0
+    with atomic_write(path) as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(body) + nbytes) + body)
+        for chunk in chunks:
+            quantized, count = quantize(Waveform(chunk, sample_rate), format)
+            if format == "pcm16":
+                # the codes, exact in float64, are cast as the product is made: no float64 temporary
+                data = np.empty(len(quantized), dtype=dtype)
+                np.multiply(quantized.samples, _PCM16_SCALE, out=data, casting="unsafe")
+            else:
+                data = quantized.samples.astype(dtype)
+            fh.write(data.data)
+            clipped += count
+            written += len(data)
+        if written != n_samples:
+            raise ValueError(f"the stream held {written} samples, the header declares {n_samples}")
+    return clipped
+
+
 def write_wav(x: Waveform, path, format: str = "float32") -> int:
     """Write quantize(x, format) to path; returns the clipped-sample count.
 
     The file is a canonical mono RIFF WAV: a 16-byte PCM fmt chunk, or for
     float32 an 18-byte fmt chunk and a fact chunk holding the frame count.
+    It is write_wav_chunks with x as the one chunk.
     """
-    quantized, clipped = quantize(x, format)
-    if format == "pcm16":
-        # the codes, exact in float64, are cast as the product is made: no float64 temporary
-        data = np.empty(len(quantized), dtype="<i2")
-        np.multiply(quantized.samples, _PCM16_SCALE, out=data, casting="unsafe")
-        tag, cb_size, fact = _PCM, b"", b""
-    else:
-        data = quantized.samples.astype("<f4")
-        tag, cb_size, fact = _IEEE_FLOAT, b"\x00\x00", b"fact" + struct.pack("<II", 4, len(data))
-    # the header stores rate * bytes per sample as a uint32 byte rate
-    if x.sample_rate * data.itemsize >= 2**32:
-        raise ValueError(f"a {format} WAV header cannot hold a rate of {x.sample_rate} Hz")
-    width = data.itemsize
-    fmt = struct.pack("<HHIIHH", tag, 1, x.sample_rate, x.sample_rate * width, width, 8 * width) + cb_size
-    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + fact + b"data" + struct.pack("<I", data.nbytes)
-    if len(body) + data.nbytes > _RIFF_MAX:
-        raise ValueError(f"{data.nbytes} bytes of samples do not fit a RIFF WAV file")
-    with atomic_write(path) as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body) + data.nbytes) + body)
-        fh.write(data.data)
-    return clipped
+    return write_wav_chunks((x.samples,), len(x), x.sample_rate, path, format)

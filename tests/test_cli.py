@@ -1,5 +1,7 @@
 """CLI subcommands end to end: exit codes, reports, determinism, atomicity."""
 
+import contextlib
+import errno
 import json
 import math
 import os
@@ -14,13 +16,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from hnsynth import analysis, cli, features, spectral
+from hnsynth import analysis, cli, features, spectral, synth, wavio
 from hnsynth.cli import cli_main
 from hnsynth.config import build_tool_config, parse_config_file
 from hnsynth.features import MAGIC, FeatureBundle, load_features, save_features
 from hnsynth.losses import mel_l1
 from hnsynth.types import F0Contour, HarmonicAmplitudes, NoiseMagnitudeSpectrum, Waveform
-from hnsynth.wavio import read_wav, write_wav
+from hnsynth.wavio import quantize, read_wav, write_wav
 
 from conftest import harmonic_tone, version1_image
 
@@ -232,7 +234,7 @@ def test_an_mrs_size_without_a_quarter_hop_exits_5_before_any_work(tmp_path, ton
     def no_work(*args, **kwargs):
         raise AssertionError("the run went past its config")
 
-    for name in ("analyze_bundle", "render_bundle", "_report"):
+    for name in ("analyze_bundle", "render_bundle", "render_chunks", "_report"):
         monkeypatch.setattr(cli, name, no_work)
     cfg = tmp_path / "mrs.cfg"
     cfg.write_text("mrs_fft_sizes = 2, 1024\n")
@@ -589,23 +591,111 @@ def test_out_of_memory_exits_5_with_one_line_and_writes_nothing(tmp_path, tone_w
     assert not out.exists()
 
 
+# the stream in features that renders each branch for render_chunks
+BRANCH_STREAMS = {"harmonic_synthesize": "harmonic_chunks", "noise_synthesize": "noise_chunks"}
+
+
 @pytest.mark.parametrize("error", [ValueError, MemoryError])
 @pytest.mark.parametrize("branch", ["harmonic_synthesize", "noise_synthesize"])
 def test_synth_branch_failure_exits_5_with_one_line_and_writes_nothing(
     tmp_path, tone_wav, monkeypatch, capsys, branch, error
 ):
-    # the bank fails on render_bundle's helper thread, the noise branch on the caller's
+    # each branch fails as its stream starts: the bank on render_chunks' helper
+    # thread, the noise branch on the caller's
     bundle, out = tmp_path / "x.hnsf", tmp_path / "o.wav"
     assert cli_main(["analyze", str(tone_wav), "-o", str(bundle)]) == 0
 
     def fail(*args):
         raise error(f"{branch} failed")
 
-    monkeypatch.setattr(features, branch, fail)
+    monkeypatch.setattr(features, BRANCH_STREAMS[branch], fail)
     threads = threading.active_count()
     assert cli_main(["synth", str(bundle), "-o", str(out)]) == 5
     assert capsys.readouterr().err == f"hnsynth: {branch} failed\n"
     assert not out.exists()
+    assert threading.active_count() == threads
+
+
+@pytest.fixture
+def long_bundle(tmp_path):
+    """A bundle whose render spans a dozen bank chunks and several noise chunks."""
+    src, bundle = tmp_path / "long.wav", tmp_path / "long.hnsf"
+    write_wav(harmonic_tone(220.0, SR, 4.0, [0.5, 0.3, 0.2], wobble=0.2), src)
+    assert cli_main(["analyze", str(src), "-o", str(bundle)]) == 0
+    return bundle
+
+
+def _failing_after(stream, chunks, error):
+    """A stand-in for stream that yields its first chunks, then raises error."""
+    def failing(*args):
+        for i, chunk in enumerate(stream(*args)):
+            if i == chunks:
+                raise error
+            yield chunk
+
+    return failing
+
+
+class _DiskFullAfter:
+    """A file whose writes succeed `writes` times, then raise ENOSPC once ready is set."""
+
+    def __init__(self, fh, writes, ready):
+        self.fh, self.writes, self.ready = fh, writes, ready
+
+    def write(self, data):
+        if self.writes == 0:
+            assert self.ready.wait(30)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes -= 1
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("failure", ["bank", "noise", "disk"])
+def test_synth_stream_failure_mid_write_stops_the_helper_and_leaves_no_file(
+    tmp_path, long_bundle, monkeypatch, capsys, failure
+):
+    # synth writes each chunk as it is summed, so these failures come after
+    # some chunks are in the temp file: the bank's on the helper thread, the
+    # noise branch's and the write's on the caller's. The disk fills while the
+    # helper waits on a full handoff, the bank having run ahead of the write.
+    quantized = []
+    monkeypatch.setattr(wavio, "quantize", lambda *args: quantized.append(1) or quantize(*args))
+    if failure == "bank":
+        monkeypatch.setattr(features, "harmonic_chunks", _failing_after(synth.harmonic_chunks, 4, ValueError("bank failed")))
+    elif failure == "noise":
+        monkeypatch.setattr(features, "noise_chunks", _failing_after(synth.noise_chunks, 2, ValueError("noise failed")))
+    else:
+        # the header and 2 chunks are written, the caller having taken 2 bank
+        # chunks: once the bank has made 2 + depth + 1, it waits on the handoff
+        bank_ahead = threading.Event()
+
+        def bank_running_ahead(*args):
+            for i, chunk in enumerate(synth.harmonic_chunks(*args)):
+                if i == 2 + features._HANDOFF_DEPTH:
+                    bank_ahead.set()
+                yield chunk
+
+        monkeypatch.setattr(features, "harmonic_chunks", bank_running_ahead)
+        real_write = wavio.atomic_write
+
+        @contextlib.contextmanager
+        def disk_full_after_3_writes(path):
+            with real_write(path) as fh:
+                yield _DiskFullAfter(fh, 3, bank_ahead)
+
+        monkeypatch.setattr(wavio, "atomic_write", disk_full_after_3_writes)
+    out = tmp_path / "o.wav"
+    threads = threading.active_count()
+    code = cli_main(["synth", str(long_bundle), "-o", str(out), "--format", "pcm16"])
+    err = capsys.readouterr().err
+    expected = {
+        "bank": (5, "hnsynth: bank failed\n"),
+        "noise": (5, "hnsynth: noise failed\n"),
+        "disk": (3, f"hnsynth: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"),
+    }[failure]
+    assert (code, err) == expected
+    assert len(quantized) >= 2
+    assert not out.exists() and not list(tmp_path.glob("*.tmp"))
     assert threading.active_count() == threads
 
 

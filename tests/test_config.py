@@ -71,6 +71,29 @@ def test_missing_equals_rejected(tmp_path):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("n_mels 80", "expected 'key = value', got 'n_mels 80'"),
+        ("bogus = 1", "unknown config key 'bogus'"),
+        ("n_mels = eighty", "bad value for n_mels: "),
+    ],
+    ids=["no-equals", "unknown-key", "bad-value"],
+)
+def test_a_line_error_names_the_file_and_the_line(tmp_path, capsys, line, message):
+    # as a non-UTF-8 config, a malformed WAV and a malformed bundle do
+    path = write_cfg(tmp_path, f"# a comment\n{line}\n")
+    prefix = f"{path}: line 2: {message}"
+    with pytest.raises(FormatError, match=f"^{re.escape(prefix)}") as err:
+        parse_config_file(path)
+    assert err.value.line == 2
+    wav = tmp_path / "x.wav"
+    write_wav(Waveform(np.zeros(4096), 8000), wav)
+    assert cli_main(["metrics", str(wav), str(wav), "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"hnsynth: {prefix}") and err.count("\n") == 1
+
+
 def test_config_file_is_utf8_text_with_an_optional_byte_order_mark(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_bytes("\ufefffft_size = 512\n# café\n".encode("utf-8"))

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hnsynth import features
+from hnsynth import features, synth
 from hnsynth.analysis import AnalysisConfig, analyze, estimate_f0, estimate_harmonics, estimate_noise
+from hnsynth.cli import cli_main
 from hnsynth.config import build_tool_config
 from hnsynth.errors import FormatError
 from hnsynth.features import MAGIC, FeatureBundle, analyze_bundle, load_features, render_bundle, save_features
@@ -290,9 +291,9 @@ def test_render_bundle_sums_the_two_branches(rng):
     assert np.array_equal(y.samples, harmonic.samples + noise.samples)
 
 
-def _decoder_bundle(case):
+def _decoder_bundle(case, frames=300):
     """A 44.1 kHz bundle with every harmonic column and noise bin live, or one of its edge cases."""
-    frames = 5 if case == "short" else 300
+    frames = 5 if case == "short" else frames
     assert case != "short" or frames < FRAME_BLOCK
     rng = np.random.default_rng(frames)
     t = np.arange(frames) * SPEC.hop_size / 44100
@@ -326,13 +327,14 @@ def test_render_bundle_is_the_serial_sum_bit_for_bit(case, seed):
 @pytest.mark.parametrize("error", [ValueError, MemoryError])
 @pytest.mark.parametrize("branch", ["harmonic_synthesize", "noise_synthesize"])
 def test_render_bundle_raises_a_branch_error_and_leaves_no_thread(monkeypatch, rng, branch, error):
-    # the bank runs on a helper thread and the noise branch on the caller's:
-    # either one's exception reaches the caller as it was raised, after the
-    # helper has been joined
+    # the bank's stream runs on a helper thread and the noise branch's on the
+    # caller's: either one's exception reaches the caller as it was raised,
+    # after the helper has been joined
     def fail(*args):
         raise error(f"{branch} failed")
 
-    monkeypatch.setattr(features, branch, fail)
+    stream = {"harmonic_synthesize": "harmonic_chunks", "noise_synthesize": "noise_chunks"}[branch]
+    monkeypatch.setattr(features, stream, fail)
     threads = threading.active_count()
     with pytest.raises(error) as caught:
         render_bundle(random_bundle(rng), seed=4)
@@ -344,11 +346,61 @@ def test_render_bundle_runs_the_bank_in_the_callers_error_state(monkeypatch, rng
     # the helper thread runs in a copy of the caller's context, where np.errstate lives
     def overflowing_bank(*args):
         np.float64(1e308) * 10
-        return harmonic_synthesize(*args)
+        return synth.harmonic_chunks(*args)
 
-    monkeypatch.setattr(features, "harmonic_synthesize", overflowing_bank)
+    monkeypatch.setattr(features, "harmonic_chunks", overflowing_bank)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         render_bundle(random_bundle(rng), seed=4)
+
+
+def test_a_put_waiting_on_a_full_handoff_returns_false_once_it_is_closed():
+    handoff = features._Handoff(2)
+    results = []
+
+    def producer():
+        results.extend(handoff.put(i) for i in range(3))
+
+    helper = threading.Thread(target=producer)
+    helper.start()
+    helper.join(0.2)
+    assert helper.is_alive()  # the third put waits for room
+    assert handoff.get() == 0  # first in, first out
+    helper.join(10)
+    assert not helper.is_alive() and results == [True, True, True]
+    results.clear()
+    helper = threading.Thread(target=producer)
+    helper.start()  # the handoff holds 1 and 2, so the first put waits
+    helper.join(0.2)
+    assert helper.is_alive()
+    handoff.close()
+    helper.join(10)
+    assert not helper.is_alive() and results == [False, False, False]
+
+
+def test_synth_memory_grows_less_than_10_bytes_per_sample(tmp_path):
+    # synth quantizes and writes each chunk of the render as it is summed, so
+    # what grows with the clip is the bundle file's bytes, which load_features
+    # holds: 8.8 B per sample at 2048/512 with 100 harmonics. The whole-clip
+    # render, its branches' grids and the quantized copy made the growth
+    # 24.8 B per sample. Above the file, a call's peak is where a noise block's
+    # temporaries meet whatever the bank holds at that moment, so it varies by a
+    # few hundred kB, and a longer call meets more blocks. So a first call takes
+    # the lazy imports, and each length's peak is the highest over as many
+    # rendered blocks: six 5 s calls, two 15 s calls. It read 8.3-9.2 B.
+    def synth(path):
+        return cli_main(["synth", str(path), "-o", str(tmp_path / "y.wav"), "--format", "pcm16"])
+
+    peaks, lengths = [], []
+    for seconds, calls in ((5, 6), (15, 2)):
+        bundle = _decoder_bundle("dense", frames=round(seconds * 44100 / SPEC.hop_size))
+        path = tmp_path / f"x{seconds}.hnsf"
+        save_features(bundle, path)
+        assert synth(path) == 0
+        runs = [traced_peak(synth, path) for _ in range(calls)]
+        assert [code for _, code in runs] == [0] * calls
+        peaks.append(max(peak for peak, _ in runs))
+        lengths.append(bundle.frames * bundle.hop_size)
+    assert (peaks[1] - peaks[0]) / (lengths[1] - lengths[0]) <= 10
 
 
 def _sung_tone(seconds, sr=44100):

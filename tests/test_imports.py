@@ -1,6 +1,7 @@
 """The package runs on numpy alone: no module of it imports scipy, lazily or otherwise.
 
-Nor does a CLI call import numpy.ma, which np.median pulls in lazily.
+Nor does a CLI call import numpy.ma, which np.median pulls in lazily, or
+queue, mmap or concurrent.futures, none of which its threads need.
 """
 
 import ast
@@ -35,6 +36,9 @@ for argv in (
     ["metrics", f"{d}/x.wav", f"{d}/z.wav"],
 ):
     assert cli_main(argv) == 0, argv
+print("queue, mmap or concurrent modules:", sorted(
+    m for m in sys.modules if m in ("queue", "mmap", "concurrent") or m.startswith("concurrent.")
+))
 print("numpy.ma imported:", "numpy.ma" in sys.modules)
 print("scipy modules:", sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
@@ -59,6 +63,12 @@ def test_every_subcommand_runs_without_importing_scipy(every_subcommand_output):
 def test_every_subcommand_runs_without_importing_numpy_ma(every_subcommand_output):
     # numpy.ma holds about 1.4 MiB of resident memory in every process that imports it
     assert every_subcommand_output[-2] == "numpy.ma imported: False"
+
+
+def test_every_subcommand_runs_without_importing_queue_mmap_or_concurrent(every_subcommand_output):
+    # synth's render hands the bank's chunks between threads through threading
+    # alone, which the CLI loads anyway, so no module is added to a call's start-up
+    assert every_subcommand_output[-3] == "queue, mmap or concurrent modules: []"
 
 
 def test_package_source_never_names_scipy():

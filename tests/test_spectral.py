@@ -1,11 +1,14 @@
 """STFT/iSTFT geometry, COLA round trips, and the mel feature stack."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
+from hnsynth import spectral
 from hnsynth.spectral import (
     WINDOW_FAMILIES,
     MelConfig,
@@ -81,6 +84,40 @@ def test_is_cola_agrees_with_scipy_check_cola():
                 assert _builds(name, win, hop) == expected, (name, win, hop)
                 checked += 1
     assert checked > 600
+
+
+def _loop_overlap_sums(w, hop):
+    """The window's hop-long slices added one by one, left to right, as the COLA check once summed them."""
+    n = len(w)
+    sums = sum(w[i * hop : (i + 1) * hop] for i in range(n // hop))
+    if n % hop:
+        sums[: n % hop] += w[-(n % hop) :]
+    return sums
+
+
+def test_overlap_sums_are_the_slice_loops_bit_for_bit():
+    # every family, every power-of-two size up to 4096 and every hop
+    checked = 0
+    for name in WINDOW_FAMILIES:
+        for size in (2**p for p in range(1, 13)):
+            w = spectral._window(name, size)
+            for hop in range(1, size + 1):
+                got, expected = spectral._overlap_sums(w, hop), _loop_overlap_sums(w, hop)
+                assert got.tobytes() == expected.tobytes(), (name, size, hop)
+                checked += 1
+    assert checked == 32760
+
+
+def test_cola_check_of_a_long_window_at_hop_1_takes_no_python_loop():
+    # a bundle header may declare this config; summing its 2**20 slices one by
+    # one took 0.76-1.26 s. The window itself is built once and cached.
+    SpectralConfig(fft_size=2**20, hop_size=1, win_size=2**20)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        SpectralConfig(fft_size=2**20, hop_size=1, win_size=2**20)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
 
 
 def test_frame_count_is_ceil_of_hops():
